@@ -252,7 +252,6 @@ fn run_overload() -> ScenarioRow {
                         continue; // shed — counted from the server's stats
                     }
                     admitted.record(us);
-                    eprintln!("OV adm o{client_index}-{index} {us}us");
                     if !reply.contains("\"ok\":true") {
                         errors += 1;
                     }

@@ -496,15 +496,12 @@ pub fn exec_tree_dot(tree: &ExecTree) -> String {
 mod tests {
     use super::*;
     use probterm_astver::build_tree;
-    use probterm_intervalsem::{explain, ExplainConfig, LowerBoundConfig};
+    use probterm_intervalsem::{explain, LowerBoundConfig};
     use probterm_spcf::parse_term;
 
     fn provenance(src: &str, depth: usize) -> Provenance {
         let term = parse_term(src).unwrap();
-        explain(
-            &term,
-            &ExplainConfig::default().with_lower(LowerBoundConfig::default().with_depth(depth)),
-        )
+        explain(&term, &LowerBoundConfig::default().with_depth(depth))
     }
 
     fn assert_dot_well_formed(dot: &str) {

@@ -50,12 +50,9 @@ pub use past::{
     divergence_ratio, expected_steps_profile, refute_past_bound, ExpectedStepsPoint, PastProbe,
     PastRefutation,
 };
-pub use provenance::{
-    explain, try_explain, ExplainConfig, FrontierSummary, PathProvenance, Provenance, Witness,
-};
+pub use provenance::{explain, try_explain, FrontierSummary, PathProvenance, Provenance, Witness};
 pub use symbolic::{
-    explore, explore_substitution, frontier_seeds, try_explore, try_explore_seeded,
-    try_explore_seeded_progress, Branch,
-    ConstraintKind, Exploration, ExplorationConfig, FrontierPath, ReplaySeed, SymConstraint,
-    SymValue, SymbolicPath,
+    explore, explore_substitution, frontier_seeds, try_explore, try_explore_seeded_progress,
+    Branch, ConstraintKind, Exploration, ExplorationConfig, FrontierPath, ReplaySeed,
+    SymConstraint, SymValue, SymbolicPath,
 };

@@ -129,13 +129,6 @@ impl LowerBoundConfig {
         self
     }
 
-    /// Builder: sets the box budget of the splitting sweep per non-linear path.
-    #[must_use]
-    pub fn with_boxes_per_path(mut self, boxes_per_path: usize) -> Self {
-        self.boxes_per_path = boxes_per_path;
-        self
-    }
-
     /// Builder: enables or disables machine profiling.
     #[must_use]
     pub fn with_profile(mut self, profile: bool) -> Self {

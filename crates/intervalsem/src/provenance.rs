@@ -27,57 +27,17 @@ use crate::symbolic::{Branch, FrontierPath, SymConstraint, SymValue, SymbolicPat
 use probterm_numerics::Rational;
 use probterm_spcf::{terminates_on_trace, FixedTrace, Strategy, Term};
 
-/// Configuration of a provenance computation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExplainConfig {
-    /// The lower-bound configuration the attribution runs under. The
-    /// resulting [`Provenance::result`] is exactly what
-    /// [`crate::lower_bound`] would report for the same configuration.
-    pub lower: LowerBoundConfig,
-    /// When `true` (the default), a concrete witness is synthesised and
-    /// replayed for every terminating path.
-    pub witnesses: bool,
-    /// Box-bisection budget per path for the witness search.
-    pub witness_boxes: usize,
-    /// Extra concrete-machine steps allowed during witness replay beyond the
-    /// path's own step count (safety slack; replays are expected to take
-    /// exactly `path.steps` steps).
-    pub replay_slack: usize,
-}
+/// Box-bisection budget per path for the witness search.
+const WITNESS_BOXES: usize = 4_096;
 
-impl Default for ExplainConfig {
-    fn default() -> Self {
-        ExplainConfig {
-            lower: LowerBoundConfig::default(),
-            witnesses: true,
-            witness_boxes: 4_096,
-            replay_slack: 16,
-        }
-    }
-}
+/// The witness-search budget per path once the run was interrupted, so the
+/// reply does not overshoot an expired deadline by much.
+const INTERRUPTED_WITNESS_BOXES: usize = 256;
 
-impl ExplainConfig {
-    /// Builder: sets the underlying lower-bound configuration.
-    #[must_use]
-    pub fn with_lower(mut self, lower: LowerBoundConfig) -> Self {
-        self.lower = lower;
-        self
-    }
-
-    /// Builder: enables or disables witness synthesis.
-    #[must_use]
-    pub fn with_witnesses(mut self, witnesses: bool) -> Self {
-        self.witnesses = witnesses;
-        self
-    }
-
-    /// Builder: sets the witness-search box budget per path.
-    #[must_use]
-    pub fn with_witness_boxes(mut self, witness_boxes: usize) -> Self {
-        self.witness_boxes = witness_boxes;
-        self
-    }
-}
+/// Extra concrete-machine steps allowed during witness replay beyond the
+/// path's own step count (safety slack; replays are expected to take exactly
+/// `path.steps` steps).
+const REPLAY_SLACK: usize = 16;
 
 /// A synthesised concrete witness for a terminating path, together with the
 /// outcome of replaying it on the concrete machine.
@@ -115,7 +75,7 @@ pub struct PathProvenance {
     /// The path's volume contribution — exactly the rational the lower-bound
     /// engine added for this path.
     pub volume: Rational,
-    /// The replayable witness, when one was requested and found.
+    /// The replayable witness, when one was found.
     pub witness: Option<Witness>,
 }
 
@@ -150,7 +110,7 @@ pub struct FrontierSummary {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Provenance {
     /// The lower-bound result being explained — byte-for-byte what
-    /// [`crate::lower_bound`] reports under [`ExplainConfig::lower`].
+    /// [`crate::lower_bound`] reports under the same configuration.
     pub result: LowerBoundResult,
     /// One record per terminating path, in exploration order.
     pub paths: Vec<PathProvenance>,
@@ -173,8 +133,9 @@ impl Provenance {
     }
 }
 
-/// Computes the provenance of a lower-bound run.
-pub fn explain(term: &Term, config: &ExplainConfig) -> Provenance {
+/// Computes the provenance of a lower-bound run under `config`; a concrete
+/// witness is synthesised and replayed for every terminating path.
+pub fn explain(term: &Term, config: &LowerBoundConfig) -> Provenance {
     let (provenance, interrupted) =
         try_explain::<std::convert::Infallible>(term, config, &mut |_| Ok(()));
     debug_assert!(interrupted.is_none());
@@ -188,19 +149,19 @@ pub fn explain(term: &Term, config: &ExplainConfig) -> Provenance {
 /// `unaccounted_mass`.
 ///
 /// Witness synthesis runs after the interruption (its cost is bounded by
-/// `witness_boxes · paths`); interrupted runs use a tightly capped box budget
-/// so the reply does not overshoot an expired deadline by much.
+/// the per-path box budget times the path count); interrupted runs use a
+/// tightly capped box budget.
 pub fn try_explain<E>(
     term: &Term,
-    config: &ExplainConfig,
+    config: &LowerBoundConfig,
     check: &mut dyn FnMut(usize) -> Result<(), E>,
 ) -> (Provenance, Option<E>) {
     let (result, exploration, measures, interruption) =
-        try_lower_bound_measured(term, &config.lower, check);
+        try_lower_bound_measured(term, config, check);
     let witness_boxes = if interruption.is_some() {
-        config.witness_boxes.min(256)
+        INTERRUPTED_WITNESS_BOXES
     } else {
-        config.witness_boxes
+        WITNESS_BOXES
     };
     let paths: Vec<PathProvenance> = exploration
         .terminated
@@ -208,10 +169,7 @@ pub fn try_explain<E>(
         .zip(measures)
         .enumerate()
         .map(|(index, (path, measure))| {
-            let witness = config
-                .witnesses
-                .then(|| synthesize_witness(term, &path, witness_boxes, config.replay_slack))
-                .flatten();
+            let witness = synthesize_witness(term, &path, witness_boxes);
             PathProvenance {
                 index,
                 sample_count: path.sample_count,
@@ -259,18 +217,13 @@ pub fn try_explain<E>(
 /// Synthesises and replays a witness for one terminating path: searches the
 /// path region for a concrete sample vector, then runs the concrete CbN
 /// machine on exactly that trace.
-fn synthesize_witness(
-    term: &Term,
-    path: &SymbolicPath,
-    witness_boxes: usize,
-    replay_slack: usize,
-) -> Option<Witness> {
+fn synthesize_witness(term: &Term, path: &SymbolicPath, witness_boxes: usize) -> Option<Witness> {
     let trace = path.find_witness(witness_boxes)?;
     let run = terminates_on_trace(
         Strategy::CallByName,
         term,
         FixedTrace::new(trace.clone()),
-        path.steps + replay_slack,
+        path.steps + REPLAY_SLACK,
     );
     Some(Witness {
         trace,
@@ -286,10 +239,7 @@ mod tests {
 
     fn explain_src(src: &str, depth: usize) -> Provenance {
         let term = parse_term(src).unwrap();
-        explain(
-            &term,
-            &ExplainConfig::default().with_lower(LowerBoundConfig::default().with_depth(depth)),
-        )
+        explain(&term, &LowerBoundConfig::default().with_depth(depth))
     }
 
     #[test]
@@ -370,8 +320,7 @@ mod tests {
     fn interrupted_explain_is_a_sound_partial_artifact() {
         let term =
             parse_term("(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0").unwrap();
-        let config =
-            ExplainConfig::default().with_lower(LowerBoundConfig::default().with_depth(300));
+        let config = LowerBoundConfig::default().with_depth(300);
         let mut budget = 8usize;
         let (partial, err) = try_explain(&term, &config, &mut |_| {
             if budget == 0 {

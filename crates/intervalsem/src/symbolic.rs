@@ -304,16 +304,6 @@ impl SymbolicPath {
             .all(|c| c.as_linear(self.sample_count).is_some())
     }
 
-    /// Builds the polytope `{α ∈ [0,1]^m | Δ}` for linear paths.
-    pub fn to_polytope(&self) -> Option<UnitCubePolytope> {
-        let mut poly = UnitCubePolytope::new(self.sample_count);
-        for c in &self.constraints {
-            let (coeffs, bound) = c.as_linear(self.sample_count)?;
-            poly.add(coeffs, bound);
-        }
-        Some(poly)
-    }
-
     /// Exact probability of the path region for linear paths.
     ///
     /// The constraint system is first split into independent groups of sample
@@ -843,7 +833,7 @@ pub fn try_explore<E>(
     config: &ExplorationConfig,
     check: &mut dyn FnMut(usize) -> Result<(), E>,
 ) -> (Exploration, Option<E>) {
-    try_explore_seeded(term, config, None, check, &mut |_, _| Ok(()))
+    try_explore_seeded_progress(term, config, None, None, check, &mut |_, _| Ok(()))
 }
 
 /// The resumable, incrementally-measuring variant of [`try_explore`].
@@ -862,28 +852,16 @@ pub fn try_explore<E>(
 ///   as its second argument (for deadline-aware measurement); returning an
 ///   error interrupts the exploration exactly like a failing `check`: the
 ///   queue drains to the frontier and the partial result stays sound.
+/// * `progress` — when set, live progress (work counter, frontier size,
+///   current path depth) is published into it at the existing
+///   cooperative-check poll points — once per path plus every 256 work units
+///   within long paths. When `None` the cost is a single `Option`
+///   discriminant check per poll point; the overhead guard in
+///   `crates/bench` holds the disabled path to within 5% of baseline.
 ///
-/// With `seeds = None` and a no-op hook this is exactly [`try_explore`] —
-/// the differential suite's guarantee carries over unchanged.
-pub fn try_explore_seeded<'t, E>(
-    term: &'t Term,
-    config: &ExplorationConfig,
-    seeds: Option<&[ReplaySeed]>,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-    on_terminated: &mut dyn FnMut(
-        &SymbolicPath,
-        &mut dyn FnMut(usize) -> Result<(), E>,
-    ) -> Result<(), E>,
-) -> (Exploration, Option<E>) {
-    try_explore_seeded_progress(term, config, seeds, None, check, on_terminated)
-}
-
-/// Like [`try_explore_seeded`], but additionally publishes live progress
-/// (work counter, frontier size, current path depth) into `progress` at the
-/// existing cooperative-check poll points — once per path plus every 256
-/// work units within long paths. When `progress` is `None` the cost is a
-/// single `Option` discriminant check per poll point; the overhead guard in
-/// `crates/bench` holds the disabled path to within 5% of baseline.
+/// With `seeds = None`, no progress cell and a no-op hook this is exactly
+/// [`try_explore`] — the differential suite's guarantee carries over
+/// unchanged.
 ///
 /// Terminated-path counts and the monotone bound are published by the
 /// *measuring* caller ([`try_lower_bound`](crate::try_lower_bound) and
@@ -1526,10 +1504,11 @@ mod tests {
         assert!(err.is_some());
         assert!(first.interrupted && !first.frontier.is_empty());
         let seeds = frontier_seeds(&first.frontier);
-        let (second, err2) = try_explore_seeded::<()>(
+        let (second, err2) = try_explore_seeded_progress::<()>(
             &term,
             &config,
             Some(&seeds),
+            None,
             &mut |_| Ok(()),
             &mut |_, _| Ok(()),
         );

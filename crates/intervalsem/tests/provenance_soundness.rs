@@ -13,9 +13,7 @@
 //!   where every abandoned frontier region and box-sweep residue carries
 //!   positive mass).
 
-use probterm_intervalsem::{
-    explain, lower_bound, ExplainConfig, LowerBoundConfig, Provenance, VolumeMethod,
-};
+use probterm_intervalsem::{explain, lower_bound, LowerBoundConfig, Provenance, VolumeMethod};
 use probterm_numerics::Rational;
 use probterm_spcf::{catalog, Prim, Term};
 use proptest::prelude::*;
@@ -24,7 +22,7 @@ use rand::{Rng, SeedableRng};
 
 fn check_provenance(name: &str, term: &Term, lower: &LowerBoundConfig) -> Provenance {
     let reference = lower_bound(term, lower);
-    let provenance = explain(term, &ExplainConfig::default().with_lower(lower.clone()));
+    let provenance = explain(term, lower);
 
     // The artifact explains the same computation the standalone API runs.
     assert_eq!(
@@ -204,7 +202,7 @@ proptest! {
         let term = random_term(&mut rng, depth, &mut Vec::new());
         let lower = LowerBoundConfig::default().with_depth(40).with_max_paths(1_500);
         let reference = lower_bound(&term, &lower);
-        let provenance = explain(&term, &ExplainConfig::default().with_lower(lower));
+        let provenance = explain(&term, &lower);
         prop_assert_eq!(
             provenance.attributed_mass(),
             reference.probability,

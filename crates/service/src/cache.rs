@@ -146,9 +146,9 @@ impl ResultCache {
         self.map.get(key).map(|entry| &entry.value)
     }
 
-    /// Records a lookup that found an entry but declined to serve it (the
-    /// caller recomputes, so for the hit/miss counters it is a miss).
-    pub fn record_declined(&mut self) {
+    /// Records a miss decided by [`peek`](Self::peek): the entry was absent,
+    /// or present but declined (the caller recomputes either way).
+    pub fn record_miss(&mut self) {
         self.misses += 1;
     }
 
@@ -268,7 +268,7 @@ mod tests {
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 0);
         // A declined serve counts as a miss.
-        cache.record_declined();
+        cache.record_miss();
         assert_eq!(cache.misses(), 1);
         // `peek` must not refresh recency: 1 is still the LRU entry.
         cache.put(key(3, ""), payload(3));

@@ -10,9 +10,11 @@
 //!   `std::net` TCP, with structured machine-readable error replies,
 //! * **event-driven transport** ([`server`]): one nonblocking
 //!   readiness-polled loop owns every connection's reads and writes (no
-//!   thread per connection), framing lines into **sharded worker queues**
-//!   routed by the program's canonical hash, with work stealing so one slow
-//!   verification cannot monopolise a shard,
+//!   thread per connection); each line is parsed, validated and keyed once,
+//!   control ops, cache hits and errors are answered on the spot, and engine
+//!   runs go to **sharded worker queues** routed by the program's canonical
+//!   hash, with work stealing so one slow verification cannot monopolise a
+//!   shard,
 //! * **single-flight coalescing** ([`server`]): identical in-flight engine
 //!   requests attach as waiters to the first run instead of enqueueing;
 //!   the finishing worker fans the reply (and streamed progress frames) out

@@ -1,12 +1,20 @@
-//! The analysis server: shared state, request dispatch, a sharded worker
+//! The analysis server: shared state, the request pipeline, a sharded worker
 //! thread pool, and NDJSON serving over stdio and TCP.
+//!
+//! Pipeline: each request line is parsed, validated and keyed **once**, by
+//! whichever thread reads it (`prepare`), and every reply — control op,
+//! cache hit, admission shed, rejected line, coalesced waiter, engine result
+//! — is rendered and booked (served count, metrics, trace, slow log) by one
+//! function (`finish`). Only engine runs that miss the cache leave the
+//! reading thread; their job carries the prepared request, so a worker never
+//! parses the request or recomputes the key.
 //!
 //! Architecture: a single **event-loop thread** owns every TCP connection —
 //! the listener and all accepted sockets are nonblocking, and each poll
 //! round accepts new connections, drains readable sockets into
 //! per-connection buffers, frames complete lines and routes them (std-only:
 //! no `libc` poll, just `set_nonblocking` plus adaptive spin/yield/park
-//! between empty rounds). Routed lines land on **sharded queues** — the
+//! between empty rounds). Engine jobs land on **sharded queues** — the
 //! shard is `canonical_key % nshards`, so identical work always goes to the
 //! same shard — and `workers` pool threads pop their home shard first, then
 //! work-steal from the others. Replies are written to the originating
@@ -55,13 +63,18 @@
 //! before the predicted queue wait (queued jobs × the op's p95 engine time ÷
 //! workers), the reader replies immediately with a structured `overloaded`
 //! error carrying `retry_after_ms` instead of letting the request rot in the
-//! queue. Control ops (`stats`, `metrics`, `shutdown`, `catalog`) are never
-//! shed — they matter most under load. On shutdown the server drains
-//! gracefully: the accept loop stops, in-flight engine runs observe the
-//! draining flag through their budget checks and checkpoint to the cache,
-//! and the workers exit once the queue is empty. A deterministic
-//! fault-injection harness ([`crate::inject`], CLI `--inject`) can make
-//! engine runs panic, stall, or drop their reply mid-line for chaos testing.
+//! queue. Control ops (`stats`, `metrics`, `inspect`, `catalog`) and
+//! rejected lines are answered inline and never shed — `stats` matters most
+//! under load. A `shutdown` is never shed either: it queues on a worker shard
+//! and takes effect once the jobs ahead of it there are done. Then (or on a
+//! stdio read error) the server drains gracefully: the accept loop stops,
+//! in-flight engine runs observe the draining flag through their budget
+//! checks and checkpoint to the cache, and the workers exit once the queue
+//! is empty. Stdin EOF is not a shutdown: the stdio server finishes every
+//! request it read, then exits.
+//! A deterministic fault-injection harness ([`crate::inject`], CLI
+//! `--inject`) can make engine runs panic, stall, or drop their reply
+//! mid-line for chaos testing.
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::inject::{InjectDecision, InjectSpec};
@@ -72,8 +85,8 @@ use crate::protocol::{
 use probterm_telemetry::{Gauge, ProgressCell, ProgressSnapshot, SpanTimer, TraceSink};
 use probterm_core::astver::{try_verify_ast, VerifyError};
 use probterm_core::intervalsem::{
-    try_explain, try_lower_bound_resumable, ExplainConfig, LowerBoundCheckpoint,
-    LowerBoundConfig, LowerBoundResult, ReplaySeed,
+    try_explain, try_lower_bound_resumable, LowerBoundCheckpoint, LowerBoundConfig,
+    LowerBoundResult, ReplaySeed,
 };
 use probterm_core::numerics::Rational;
 use probterm_core::spcf::{
@@ -250,17 +263,15 @@ pub struct ServerState {
     /// Live depth of each worker-queue shard (diagnostic gauges; the
     /// admission-control input stays the global `queued` counter).
     shard_depths: Vec<Gauge>,
-    /// Round-robin cursor for sharding non-engine (control/malformed) lines.
-    rr_shard: AtomicU64,
     cache_persist_loaded: AtomicU64,
     cache_persist_saved: AtomicU64,
     cache_persist_rejected: AtomicU64,
     /// Syntactic memo from raw program source to its α-invariant canonical
-    /// key. The transport readers key every engine request (for shard
-    /// routing, coalescing and the inline hit path), and hot traffic
-    /// resubmits byte-identical sources — parsing is a pure function, so
-    /// one parse per distinct spelling suffices. Bounded by
-    /// [`KEY_MEMO_CAPACITY`]; cleared wholesale when full.
+    /// key. `prepare` keys every engine request (for shard routing,
+    /// coalescing and the cache), and hot traffic resubmits byte-identical
+    /// sources — parsing is a pure function, so one parse per distinct
+    /// spelling suffices. Bounded by [`KEY_MEMO_CAPACITY`]; cleared
+    /// wholesale when full.
     key_memo: Mutex<HashMap<String, u128>>,
 }
 
@@ -276,15 +287,12 @@ struct InflightRow {
     id: Option<Value>,
     op: Op,
     started: Instant,
-    /// The request's current phase (`"parse"`, `"cache"`, `"engine"`),
-    /// updated in place as the run advances.
-    phase: &'static str,
     progress: Arc<ProgressCell>,
 }
 
 /// Removes its row from the in-flight table on drop, so every exit path of
-/// an engine run — cache hit, validation error, panic unwound by
-/// `catch_unwind`'s caller — deregisters exactly once.
+/// an engine run — error, deadline, caught engine panic — deregisters
+/// exactly once.
 struct InflightGuard<'a> {
     state: &'a ServerState,
     token: u64,
@@ -335,7 +343,6 @@ impl ServerState {
             singleflight: Mutex::new(HashMap::new()),
             coalesced_waiters: AtomicU64::new(0),
             coalesce_fanout_max: Gauge::new(),
-            rr_shard: AtomicU64::new(0),
             cache_persist_loaded: AtomicU64::new(0),
             cache_persist_saved: AtomicU64::new(0),
             cache_persist_rejected: AtomicU64::new(0),
@@ -344,16 +351,16 @@ impl ServerState {
     }
 
     /// The canonical key of `source`, via [`ServerState::key_memo`]:
-    /// byte-identical resubmissions skip the parse entirely. `None` when
-    /// the program does not parse (the worker renders the structured
-    /// error); parse failures are never memoized.
-    fn memoized_term_key(&self, source: &str) -> Option<u128> {
+    /// byte-identical resubmissions skip the parse entirely. Parse failures
+    /// are never memoized.
+    fn term_key(&self, source: &str) -> Result<u128, ServiceError> {
         if let Ok(memo) = self.key_memo.lock() {
             if let Some(key) = memo.get(source) {
-                return Some(*key);
+                return Ok(*key);
             }
         }
-        let term = parse_term(source).ok()?;
+        let term = parse_term(source)
+            .map_err(|e| ServiceError::new(ErrorCode::ParseError, format!("parse error: {e}")))?;
         let key = term.canonical_key();
         if let Ok(mut memo) = self.key_memo.lock() {
             if memo.len() >= KEY_MEMO_CAPACITY {
@@ -361,19 +368,13 @@ impl ServerState {
             }
             memo.insert(source.to_string(), key);
         }
-        Some(key)
+        Ok(key)
     }
 
     /// Number of worker-queue shards ([`ServerConfig::shards`], defaulted to
     /// one per worker).
     fn shard_count(&self) -> usize {
         self.shard_depths.len()
-    }
-
-    /// Round-robin shard for lines with no canonical key to route by
-    /// (control ops, malformed lines, oversized programs).
-    fn next_shard(&self) -> usize {
-        (self.rr_shard.fetch_add(1, Ordering::Relaxed) % self.shard_count() as u64) as usize
     }
 
     /// Registers an engine run in the in-flight table; the returned guard
@@ -391,20 +392,10 @@ impl ServerState {
                 id,
                 op,
                 started: Instant::now(),
-                phase: "parse",
                 progress,
             });
         }
         InflightGuard { state: self, token }
-    }
-
-    /// Advances a registered run's phase label.
-    fn inflight_phase(&self, guard: &InflightGuard<'_>, phase: &'static str) {
-        if let Ok(mut table) = self.inflight_table.lock() {
-            if let Some(row) = table.iter_mut().find(|row| row.token == guard.token) {
-                row.phase = phase;
-            }
-        }
     }
 
     /// `true` once a `shutdown` request has been processed.
@@ -693,7 +684,9 @@ struct FlightLease {
     limit_ms: Arc<AtomicU64>,
 }
 
-/// Writes one reply line (newline appended, single write) to a transport.
+/// Writes one reply line to a transport: newline appended, one write — two
+/// small writes would interact with Nagle + delayed ACKs and cost ~10 ms per
+/// lock-step request on TCP.
 fn write_reply_line(out: &SharedWriter, line: &str) {
     if let Ok(mut out) = out.lock() {
         let mut line = line.to_string();
@@ -703,9 +696,8 @@ fn write_reply_line(out: &SharedWriter, line: &str) {
     }
 }
 
-/// Synthesizes and writes one waiter's reply, with its own served/metrics/
-/// trace bookkeeping (`coalesced: true` in the trace record; cache tag
-/// `"coalesced"` on success — the waiter consumed neither a cache lookup
+/// Writes one waiter's reply (`coalesced: true` in the trace record; cache
+/// tag `"coalesced"` on success — the waiter consumed neither a cache lookup
 /// nor an engine run).
 fn reply_waiter(
     state: &ServerState,
@@ -714,41 +706,22 @@ fn reply_waiter(
     waiter: &Waiter,
     outcome: &Result<Value, ServiceError>,
 ) {
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let elapsed = waiter.registered.elapsed();
-    let (line, ok, outcome_str, tag) = match outcome {
-        Ok(value) => (
-            ok_reply(&waiter.id, op, Some("coalesced"), elapsed.as_millis(), value.clone()),
-            true,
-            "ok",
-            Some("coalesced"),
-        ),
-        Err(e) => (error_reply(&waiter.id, e), false, e.code.as_str(), None),
+    let outcome = match outcome {
+        Ok(value) => Ok((value.clone(), Some("coalesced"))),
+        Err(e) => Err(e.clone()),
     };
-    let phases = PhaseTimes {
-        total_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        ..Default::default()
+    let answer = Answer {
+        key: Some(canonical_key),
+        coalesced: true,
+        ..Answer::new(&waiter.id, Some(op), outcome, waiter.registered)
     };
-    state.metrics.record(op, &phases, ok);
-    emit_trace(
-        state,
-        seq,
-        &waiter.id,
-        Some(op),
-        Some(canonical_key),
-        &phases,
-        outcome_str,
-        tag,
-        true,
-    );
-    write_reply_line(&waiter.out, &line);
+    write_reply_line(&waiter.out, &finish(state, answer));
 }
 
 /// Removes a finished run's singleflight entry and fans its outcome out to
-/// every waiter still registered. Runs on *every* leader exit path — cache
-/// hit, validation error, deadline error, caught engine panic — so no
-/// waiter can be left hanging.
+/// every waiter still registered. Runs on *every* leader exit path —
+/// success, deadline error, caught engine panic — so no waiter can be left
+/// hanging.
 fn fanout_flight(
     state: &ServerState,
     flight: &FlightLease,
@@ -848,16 +821,7 @@ fn checkpoint_from_payload(payload: &Value) -> Option<LowerBoundCheckpoint> {
     Some(LowerBoundCheckpoint { probability, expected_steps, paths, stuck_paths, frontier })
 }
 
-// ------------------------------------------------------------------ dispatch
-
-/// What processing one line produced (pool-internal).
-struct LineOutcome {
-    reply: Option<String>,
-    shutdown: bool,
-    /// Injected fault: write only half the reply, then hard-close the
-    /// connection.
-    drop_reply: bool,
-}
+// ------------------------------------------------------------------ pipeline
 
 /// A sink for streamed progress frames: called with one frame line (no
 /// trailing newline) the moment it is produced, mid-engine-run. Interior
@@ -873,11 +837,7 @@ type FrameSink<'a> = &'a (dyn Fn(&str) + 'a);
 /// (there is no transport to carry them); use [`handle_line_frames`] to
 /// capture them.
 pub fn handle_line(state: &ServerState, line: &str) -> Option<String> {
-    let outcome = process_line(state, line, 0, None, None);
-    if outcome.shutdown {
-        state.shutdown.store(true, Ordering::SeqCst);
-    }
-    outcome.reply
+    handle(state, line, None)
 }
 
 /// Like [`handle_line`], but delivers streamed `{"progress": ...}` frames to
@@ -888,11 +848,7 @@ pub fn handle_line_frames(
     line: &str,
     frames: &dyn Fn(&str),
 ) -> Option<String> {
-    let outcome = process_line(state, line, 0, Some(frames), None);
-    if outcome.shutdown {
-        state.shutdown.store(true, Ordering::SeqCst);
-    }
-    outcome.reply
+    handle(state, line, Some(frames))
 }
 
 /// Emits one per-request trace record when the state carries a sink.
@@ -920,23 +876,11 @@ fn emit_trace(
     let mut record = vec![
         ("seq".into(), Value::UInt(u128::from(seq))),
         ("id".into(), id.clone().unwrap_or(Value::Null)),
-        (
-            "op".into(),
-            Value::Str(op.map_or("invalid", Op::as_str).to_string()),
-        ),
-        (
-            "canonical_key".into(),
-            canonical_key
-                .map_or(Value::Null, |k| Value::Str(format!("{k:032x}")[..16].to_string())),
-        ),
-        ("queue_us".into(), Value::UInt(u128::from(phases.queue_us))),
-        ("cache_us".into(), Value::UInt(u128::from(phases.cache_us))),
-        ("engine_us".into(), Value::UInt(u128::from(phases.engine_us))),
-        ("serialize_us".into(), Value::UInt(u128::from(phases.serialize_us))),
-        ("total_us".into(), Value::UInt(u128::from(phases.total_us))),
-        ("outcome".into(), Value::Str(outcome.to_string())),
-        ("cache".into(), cache.map_or(Value::Null, |c| Value::Str(c.to_string()))),
+        ("op".into(), Value::Str(op.map_or("invalid", Op::as_str).to_string())),
     ];
+    record.extend(key_and_phase_fields(canonical_key, phases));
+    record.push(("outcome".into(), Value::Str(outcome.to_string())));
+    record.push(("cache".into(), cache.map_or(Value::Null, |c| Value::Str(c.to_string()))));
     if coalesced {
         record.push(("coalesced".into(), Value::Bool(true)));
     }
@@ -963,125 +907,49 @@ fn emit_slow(
     if u128::from(phases.engine_us) <= u128::from(threshold_ms) * 1_000 {
         return;
     }
-    sink.emit(vec![
+    let mut record = vec![
         ("slow_ms".into(), Value::UInt(u128::from(threshold_ms))),
         ("seq".into(), Value::UInt(u128::from(seq))),
         ("op".into(), Value::Str(op.as_str().to_string())),
+    ];
+    record.extend(key_and_phase_fields(canonical_key, phases));
+    sink.emit(record);
+}
+
+/// The fields trace and slow-log records share: `canonical_key` (first 16
+/// hex digits, or `null`), then the phase timings and `total_us`.
+fn key_and_phase_fields(key: Option<u128>, phases: &PhaseTimes) -> [(String, Value); 6] {
+    let us = |v: u64| Value::UInt(u128::from(v));
+    [
         (
             "canonical_key".into(),
-            canonical_key
-                .map_or(Value::Null, |k| Value::Str(format!("{k:032x}")[..16].to_string())),
+            key.map_or(Value::Null, |k| Value::Str(format!("{k:032x}")[..16].to_string())),
         ),
-        ("queue_us".into(), Value::UInt(u128::from(phases.queue_us))),
-        ("cache_us".into(), Value::UInt(u128::from(phases.cache_us))),
-        ("engine_us".into(), Value::UInt(u128::from(phases.engine_us))),
-        ("serialize_us".into(), Value::UInt(u128::from(phases.serialize_us))),
-        ("total_us".into(), Value::UInt(u128::from(phases.total_us))),
-    ]);
+        ("queue_us".into(), us(phases.queue_us)),
+        ("cache_us".into(), us(phases.cache_us)),
+        ("engine_us".into(), us(phases.engine_us)),
+        ("serialize_us".into(), us(phases.serialize_us)),
+        ("total_us".into(), us(phases.total_us)),
+    ]
 }
 
-fn process_line(
-    state: &ServerState,
-    line: &str,
-    queue_us: u64,
-    frames: Option<FrameSink>,
-    flight: Option<&FlightLease>,
-) -> LineOutcome {
+fn handle(state: &ServerState, line: &str, frames: Option<FrameSink>) -> Option<String> {
     if line.trim().is_empty() {
-        return LineOutcome { reply: None, shutdown: false, drop_reply: false };
+        return None;
     }
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let timer = SpanTimer::start();
-    let mut phases = PhaseTimes { queue_us, ..Default::default() };
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err((id, e)) => {
-            let serialize = SpanTimer::start();
-            let reply = error_reply(&id, &e);
-            phases.serialize_us = serialize.elapsed_us();
-            phases.total_us = queue_us.saturating_add(timer.elapsed_us());
-            // Unparseable lines have no op to attribute latency to; they are
-            // traced but kept out of the per-op histograms. A flight lease on
-            // an unparseable line cannot happen (the reader parsed it to
-            // build the key), but if it ever did, its waiters must not hang.
-            if let Some(flight) = flight {
-                fanout_flight(state, flight, Op::Lower, &Err(e.clone()));
-            }
-            emit_trace(state, seq, &id, None, None, &phases, e.code.as_str(), None, false);
-            return LineOutcome { reply: Some(reply), shutdown: false, drop_reply: false };
-        }
-    };
-    let id = request.id.clone();
-    let op = request.op;
     let started = Instant::now();
-    let shutdown = op == Op::Shutdown;
-    let mut canonical_key = None;
-    let mut drop_reply = false;
-    let dispatched = dispatch(
-        state,
-        &request,
-        &mut phases,
-        &mut canonical_key,
-        &mut drop_reply,
-        frames,
-        flight,
-    );
-    // Fan the outcome out to every coalesced waiter the moment the leader's
-    // run is decided — on success *and* on every error path (validation,
-    // deadline, caught engine panic), so no waiter can hang.
-    if let Some(flight) = flight {
-        let outcome = match &dispatched {
-            Ok((value, _)) => Ok(value.clone()),
-            Err(e) => Err(e.clone()),
-        };
-        fanout_flight(state, flight, op, &outcome);
-    }
-    let (ok, cache_tag, outcome) = match &dispatched {
-        Ok((_, tag)) => (true, *tag, "ok"),
-        Err(e) => (false, None, e.code.as_str()),
+    let engine = match prepare(state, line, started) {
+        Prepared::Answered(reply) => return Some(reply),
+        Prepared::Shutdown(id) => return Some(shut_down(state, &id, started)),
+        Prepared::Engine(engine) => engine,
     };
-    let serialize = SpanTimer::start();
-    let reply = match dispatched {
-        Ok((result, cache_tag)) => {
-            ok_reply(&id, op, cache_tag, started.elapsed().as_millis(), result)
-        }
-        Err(e) => error_reply(&id, &e),
-    };
-    phases.serialize_us = serialize.elapsed_us();
-    phases.total_us = queue_us.saturating_add(timer.elapsed_us());
-    state.metrics.record(op, &phases, ok);
-    emit_trace(state, seq, &id, Some(op), canonical_key, &phases, outcome, cache_tag, false);
-    emit_slow(state, seq, op, canonical_key, &phases);
-    LineOutcome { reply: Some(reply), shutdown, drop_reply }
-}
-
-type DispatchResult = Result<(Value, Option<&'static str>), ServiceError>;
-
-fn dispatch(
-    state: &ServerState,
-    request: &Request,
-    phases: &mut PhaseTimes,
-    canonical_key: &mut Option<u128>,
-    drop_reply: &mut bool,
-    frames: Option<FrameSink>,
-    flight: Option<&FlightLease>,
-) -> DispatchResult {
-    match request.op {
-        Op::Catalog => Ok((catalog_payload(), None)),
-        Op::Stats => Ok((stats_payload(state), None)),
-        Op::Metrics => Ok((metrics_payload(state), None)),
-        Op::Inspect => Ok((inspect_payload(state), None)),
-        Op::Shutdown => Ok((Value::Object(vec![]), None)),
-        Op::Simulate | Op::Lower | Op::Explain | Op::Verify | Op::Analyze => {
-            engine_op(state, request, phases, canonical_key, drop_reply, frames, flight)
-        }
+    match lookup(state, &engine, started) {
+        Lookup::Hit(reply) => Some(reply),
+        Lookup::Miss(phases) => Some(run(state, &engine, phases, started, frames, None).0),
     }
 }
 
-/// CLI-parity engine parameter defaults, shared by the worker and the
-/// coalescing reader so the two can never derive different cache keys for
-/// the same request.
+/// The engine parameters of a request, defaulted and capped.
 struct EngineParams {
     depth: usize,
     runs: usize,
@@ -1089,21 +957,121 @@ struct EngineParams {
     seed: u64,
 }
 
-fn engine_params(request: &Request) -> EngineParams {
-    EngineParams {
-        depth: request.depth.unwrap_or(120),
-        runs: request
-            .runs
-            .unwrap_or(if request.op == Op::Analyze { 0 } else { 10_000 }),
-        steps: request.steps.unwrap_or(20_000),
-        seed: request.seed.unwrap_or(2021),
-    }
+/// An engine request that passed every check of [`prepare`]. It travels to
+/// the worker inside a [`Job`], so nothing is parsed, validated or keyed
+/// twice.
+struct EngineRequest {
+    request: Request,
+    params: EngineParams,
+    /// The content address the cache, the singleflight table and shard
+    /// routing all agree on.
+    key: CacheKey,
 }
 
-/// The content address of an engine request — the key the cache, the
-/// singleflight table, and shard routing all agree on.
-fn request_cache_key(request: &Request, term_key: u128) -> CacheKey {
-    let EngineParams { depth, runs, steps, seed } = engine_params(request);
+/// What [`prepare`] made of one line.
+enum Prepared {
+    /// The finished reply: a control op answered, or the line rejected.
+    Answered(String),
+    /// A `shutdown`, with its id, for [`shut_down`] to answer.
+    Shutdown(Option<Value>),
+    /// An engine request, still to be answered by the cache or an engine.
+    Engine(Box<EngineRequest>),
+}
+
+/// The first pipeline step. Parses the line once and validates it once, in
+/// reply order: JSON, op and field errors; the program byte cap; the term
+/// parse; the depth/runs/steps caps. Rejected lines are answered here.
+///
+/// Control ops are cheap state snapshots, answered here too, on the reading
+/// thread, so `stats` stays responsive when every worker is pinned. A
+/// `shutdown` is left to the caller (see [`shut_down`]).
+fn prepare(state: &ServerState, line: &str, started: Instant) -> Prepared {
+    let answer = |id: &Option<Value>, op, outcome| {
+        Prepared::Answered(finish(state, Answer::new(id, op, outcome, started)))
+    };
+    let request = match parse_request(line) {
+        Ok(request) => request,
+        Err((id, error)) => return answer(&id, None, Err(error)),
+    };
+    let payload = match request.op {
+        Op::Catalog => catalog_payload(),
+        Op::Stats => stats_payload(state),
+        Op::Metrics => metrics_payload(state),
+        Op::Inspect => inspect_payload(state),
+        Op::Shutdown => return Prepared::Shutdown(request.id),
+        Op::Simulate | Op::Lower | Op::Explain | Op::Verify | Op::Analyze => {
+            return match validate(state, &request) {
+                Ok((params, key)) => {
+                    Prepared::Engine(Box::new(EngineRequest { request, params, key }))
+                }
+                Err(error) => answer(&request.id, Some(request.op), Err(error)),
+            };
+        }
+    };
+    answer(&request.id, Some(request.op), Ok((payload, None)))
+}
+
+/// The engine-request checks of [`prepare`]: the program byte cap, the term
+/// parse (through the key memo), then the hard caps on the defaulted
+/// parameters. Returns those parameters and the request's cache key.
+fn validate(
+    state: &ServerState,
+    request: &Request,
+) -> Result<(EngineParams, CacheKey), ServiceError> {
+    let config = &state.config;
+    let source = request.program.as_deref().expect("parse_request requires a program");
+    if source.len() > config.max_program_bytes {
+        return Err(ServiceError::new(
+            ErrorCode::BadRequest,
+            format!(
+                "program of {} bytes exceeds the {}-byte cap",
+                source.len(),
+                config.max_program_bytes
+            ),
+        ));
+    }
+    let term_key = state.term_key(source)?;
+    // CLI-parity defaults; `analyze` defaults its Monte-Carlo cross-check
+    // off, like `probterm analyze` does.
+    let params = EngineParams {
+        depth: request.depth.unwrap_or(120),
+        runs: request.runs.unwrap_or(if request.op == Op::Analyze { 0 } else { 10_000 }),
+        steps: request.steps.unwrap_or(20_000),
+        seed: request.seed.unwrap_or(2021),
+    };
+    let cap = |what: &str, value: usize, max: usize| -> Result<(), ServiceError> {
+        if value > max {
+            Err(ServiceError::new(
+                ErrorCode::BadRequest,
+                format!("{what} {value} exceeds the server cap {max}"),
+            ))
+        } else {
+            Ok(())
+        }
+    };
+    cap("depth", params.depth, config.max_depth)?;
+    cap("runs", params.runs, config.max_runs)?;
+    cap("steps", params.steps, config.max_steps)?;
+    let key = request_cache_key(request, &params, term_key);
+    Ok((params, key))
+}
+
+/// Answers a `shutdown`, then raises the shutdown flag. Transports queue it
+/// on shard 0 like an engine job, so every request queued ahead of it there
+/// finishes before the drain starts: with one worker, a client that
+/// pipelines requests and then `shutdown` gets every answer in full. Each
+/// caller writes the reply before it next checks the flag, so the reply is on
+/// the wire before the server drains.
+fn shut_down(state: &ServerState, id: &Option<Value>, started: Instant) -> String {
+    let outcome = Ok((Value::Object(vec![]), None));
+    let reply = finish(state, Answer::new(id, Some(Op::Shutdown), outcome, started));
+    state.shutdown.store(true, Ordering::SeqCst);
+    reply
+}
+
+/// The content address of an engine request.
+fn request_cache_key(request: &Request, params: &EngineParams, term_key: u128) -> CacheKey {
+    let EngineParams { depth, runs, steps, seed } = params;
     CacheKey {
         term: term_key,
         analysis: request.op.as_str(),
@@ -1124,110 +1092,120 @@ fn request_cache_key(request: &Request, term_key: u128) -> CacheKey {
     }
 }
 
-fn engine_op(
+/// The cache's answer to one engine request.
+enum Lookup {
+    /// The finished reply of a cache hit.
+    Hit(String),
+    /// Nothing servable: the engine must run. Carries the phases so far (the
+    /// cache lookup; the queue wait is added once a worker pops the job).
+    Miss(PhaseTimes),
+}
+
+/// The cache step. Complete entries are always served. Partial
+/// (deadline-truncated) entries are served only to retries whose budget is
+/// comparable to what the entry already burned — the caller gets the monotone
+/// bound computed so far instantly. A meaningfully richer (or unbounded)
+/// budget declines the entry, and [`run`] resumes from its checkpoint.
+///
+/// Only hits are counted here; [`run`] counts the miss when the engine
+/// actually runs, so shed requests never count as lookups.
+fn lookup(state: &ServerState, engine: &EngineRequest, started: Instant) -> Lookup {
+    let EngineRequest { request, key, .. } = engine;
+    let cache_timer = SpanTimer::start();
+    let hit = {
+        let mut cache = state.cache.lock().expect("cache lock");
+        match cache.peek(key) {
+            Some(cached)
+                if !payload_is_partial(cached)
+                    || request.deadline_ms.is_some_and(|budget| {
+                        u128::from(budget)
+                            <= PARTIAL_SERVE_BUDGET_FACTOR * payload_engine_ms(cached).max(1)
+                    }) =>
+            {
+                cache.get(key)
+            }
+            _ => None,
+        }
+    };
+    let phases = PhaseTimes { cache_us: cache_timer.elapsed_us(), ..Default::default() };
+    match hit {
+        Some(cached) => {
+            let outcome = Ok((cached, Some("hit")));
+            let answer = Answer::new(&request.id, Some(request.op), outcome, started);
+            Lookup::Hit(finish(state, Answer { key: Some(key.term), phases, ..answer }))
+        }
+        None => Lookup::Miss(phases),
+    }
+}
+
+/// The engine step, for a request the cache could not answer: counts the
+/// miss, runs the engine, fans the outcome out to the flight's coalesced
+/// waiters — on success *and* on every error path, so no waiter can hang —
+/// and renders the leader's reply. Returns the reply and whether fault
+/// injection asks to drop it mid-line.
+///
+/// A `lower` whose partial entry [`lookup`] declined *resumes* from the
+/// checkpoint the entry embeds, so the already-measured paths are never
+/// re-explored.
+fn run(
     state: &ServerState,
-    request: &Request,
+    engine: &EngineRequest,
+    mut phases: PhaseTimes,
+    started: Instant,
+    frames: Option<FrameSink>,
+    flight: Option<&FlightLease>,
+) -> (String, bool) {
+    let cache_timer = SpanTimer::start();
+    let resume = {
+        let mut cache = state.cache.lock().expect("cache lock");
+        cache.record_miss();
+        let cached = cache.peek(&engine.key).filter(|_| engine.request.op == Op::Lower);
+        cached.and_then(|cached| {
+            Some((checkpoint_from_payload(cached)?, payload_engine_ms(cached)))
+        })
+    };
+    phases.cache_us += cache_timer.elapsed_us();
+    let mut drop_reply = false;
+    let outcome =
+        engine_run(state, engine, resume.as_ref(), &mut phases, &mut drop_reply, frames, flight);
+    let request = &engine.request;
+    if let Some(flight) = flight {
+        fanout_flight(state, flight, request.op, &outcome);
+    }
+    let answer = Answer {
+        key: Some(engine.key.term),
+        phases,
+        ..Answer::new(
+            &request.id,
+            Some(request.op),
+            outcome.map(|payload| (payload, Some("miss"))),
+            started,
+        )
+    };
+    (finish(state, answer), drop_reply)
+}
+
+fn engine_run(
+    state: &ServerState,
+    engine: &EngineRequest,
+    resume: Option<&(LowerBoundCheckpoint, u128)>,
     phases: &mut PhaseTimes,
-    canonical_key: &mut Option<u128>,
     drop_reply: &mut bool,
     frames: Option<FrameSink>,
     flight: Option<&FlightLease>,
-) -> DispatchResult {
-    let config = &state.config;
-    // Register in the in-flight table up front, with a fresh progress cell
-    // the lower-bound engine will publish into; the guard deregisters on
-    // every exit path.
+) -> Result<Value, ServiceError> {
+    let EngineRequest { request, params, key } = engine;
+    let EngineParams { depth, runs, steps, seed } = *params;
+    // Register in the in-flight table, with a fresh progress cell the
+    // lower-bound engine will publish into; the guard deregisters on every
+    // exit path.
     let progress = Arc::new(ProgressCell::new());
-    let inflight_guard =
-        state.inflight_register(request.id.clone(), request.op, Arc::clone(&progress));
-    let source = request.program.as_deref().expect("validated by parse_request");
-    if source.len() > config.max_program_bytes {
-        return Err(ServiceError::new(
-            ErrorCode::BadRequest,
-            format!(
-                "program of {} bytes exceeds the {}-byte cap",
-                source.len(),
-                config.max_program_bytes
-            ),
-        ));
-    }
+    let _inflight = state.inflight_register(request.id.clone(), request.op, Arc::clone(&progress));
+    // `Term` is `!Send`, so the worker parses its own copy; `prepare`
+    // already proved the source parses.
+    let source = request.program.as_deref().expect("parse_request requires a program");
     let term = parse_term(source)
         .map_err(|e| ServiceError::new(ErrorCode::ParseError, format!("parse error: {e}")))?;
-
-    // CLI-parity defaults, then hard caps. `analyze` defaults its
-    // Monte-Carlo cross-check off, like `probterm analyze` does.
-    let EngineParams { depth, runs, steps, seed } = engine_params(request);
-    let cap = |what: &str, value: usize, max: usize| -> Result<(), ServiceError> {
-        if value > max {
-            Err(ServiceError::new(
-                ErrorCode::BadRequest,
-                format!("{what} {value} exceeds the server cap {max}"),
-            ))
-        } else {
-            Ok(())
-        }
-    };
-    cap("depth", depth, config.max_depth)?;
-    cap("runs", runs, config.max_runs)?;
-    cap("steps", steps, config.max_steps)?;
-
-    let term_key = term.canonical_key();
-    *canonical_key = Some(term_key);
-    let cache_key = request_cache_key(request, term_key);
-    // Complete entries are always served. Partial (deadline-truncated)
-    // entries are served only to retries whose budget is comparable to what
-    // the entry already burned — the caller gets the monotone bound computed
-    // so far instantly. A meaningfully richer (or unbounded) budget bypasses
-    // the entry instead — counted as a miss, since nothing was served — and
-    // when the entry embeds a resumable checkpoint, the recomputation
-    // *resumes* from the cached frontier, so the already-measured paths are
-    // never re-explored.
-    let mut resume: Option<(LowerBoundCheckpoint, u128)> = None;
-    {
-        enum Lookup {
-            Absent,
-            Serve,
-            Decline,
-        }
-        state.inflight_phase(&inflight_guard, "cache");
-        let cache_timer = SpanTimer::start();
-        let mut cache = state.cache.lock().expect("cache lock");
-        let decision = match cache.peek(&cache_key) {
-            None => Lookup::Absent,
-            Some(cached) if !payload_is_partial(cached) => Lookup::Serve,
-            Some(cached) => match request.deadline_ms {
-                Some(budget)
-                    if u128::from(budget)
-                        <= PARTIAL_SERVE_BUDGET_FACTOR * payload_engine_ms(cached).max(1) =>
-                {
-                    Lookup::Serve
-                }
-                _ => Lookup::Decline,
-            },
-        };
-        match decision {
-            Lookup::Serve => {
-                let cached = cache.get(&cache_key).expect("peeked entry is present");
-                phases.cache_us = cache_timer.elapsed_us();
-                return Ok((cached, Some("hit")));
-            }
-            // Register the miss through the normal lookup path.
-            Lookup::Absent => {
-                let _ = cache.get(&cache_key);
-            }
-            Lookup::Decline => {
-                if request.op == Op::Lower {
-                    resume = cache.peek(&cache_key).and_then(|cached| {
-                        let checkpoint = checkpoint_from_payload(cached)?;
-                        Some((checkpoint, payload_engine_ms(cached)))
-                    });
-                }
-                cache.record_declined();
-            }
-        }
-        drop(cache);
-        phases.cache_us = cache_timer.elapsed_us();
-    }
 
     // Fault injection draws its decision from the engine-run counter, so the
     // schedule is a pure function of request order over cache misses.
@@ -1270,7 +1248,6 @@ fn engine_op(
             depth,
         }),
     });
-    state.inflight_phase(&inflight_guard, "engine");
     let engine_timer = SpanTimer::start();
     state.inflight.fetch_add(1, Ordering::SeqCst);
     let computed = catch_unwind(AssertUnwindSafe(|| {
@@ -1285,12 +1262,12 @@ fn engine_op(
                 simulate_payload(&term, runs, steps, seed, request.strategy, &budget)
             }
             Op::Lower => {
-                lower_payload(&term, depth, &budget, resume.as_ref(), &progress, stream.as_ref())
+                lower_payload(&term, depth, &budget, resume, &progress, stream.as_ref())
             }
             Op::Explain => explain_payload(&term, source, depth, request.top, &budget),
             Op::Verify => verify_payload(&term, &budget),
             Op::Analyze => analyze_payload(&term, depth, runs, steps, seed, &budget),
-            _ => unreachable!("engine_op is only called for engine ops"),
+            _ => unreachable!("only engine ops reach an engine run"),
         }
     }));
     state.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -1316,17 +1293,17 @@ fn engine_op(
     // instead of a doomed recomputation. The re-check happens under the lock
     // at write time: a partial result must never *downgrade* an entry —
     // concurrently, another worker may have stored the complete answer, or a
-    // partial that burned more engine time, since our lookup above.
+    // partial that burned more engine time, since our lookup.
     let partial = payload_is_partial(&payload);
     {
         let mut cache = state.cache.lock().expect("cache lock");
         let keep_existing = partial
-            && cache.peek(&cache_key).is_some_and(|existing| {
+            && cache.peek(key).is_some_and(|existing| {
                 !payload_is_partial(existing)
                     || payload_engine_ms(existing) >= payload_engine_ms(&payload)
             });
         if !keep_existing {
-            cache.put(cache_key, payload.clone());
+            cache.put(key.clone(), payload.clone());
         }
     }
     // Partial payloads *are* the deadline-truncated answer — they must not be
@@ -1336,7 +1313,79 @@ fn engine_op(
     if !partial {
         budget.final_deadline_check("after the engine completed")?;
     }
-    Ok((payload, Some("miss")))
+    Ok(payload)
+}
+
+/// One answered request, as [`finish`] books it.
+struct Answer<'a> {
+    id: &'a Option<Value>,
+    /// `None` for a line that never named a valid op.
+    op: Option<Op>,
+    /// The request's α-invariant term key, once it has one.
+    key: Option<u128>,
+    /// The result with its cache tag, or the error.
+    outcome: Result<(Value, Option<&'static str>), ServiceError>,
+    /// Queue, cache and engine times; [`finish`] adds serialize and total.
+    phases: PhaseTimes,
+    /// When the server took the request up; `elapsed_ms` and `total_us`
+    /// count from here, so every phase nests inside the total.
+    started: Instant,
+    /// The reply goes to a coalesced waiter.
+    coalesced: bool,
+}
+
+impl<'a> Answer<'a> {
+    fn new(
+        id: &'a Option<Value>,
+        op: Option<Op>,
+        outcome: Result<(Value, Option<&'static str>), ServiceError>,
+        started: Instant,
+    ) -> Answer<'a> {
+        Answer {
+            id,
+            op,
+            key: None,
+            outcome,
+            phases: PhaseTimes::default(),
+            started,
+            coalesced: false,
+        }
+    }
+}
+
+/// The last pipeline step, and the only place a reply is made: renders the
+/// reply line and books it — `served`, the trace `seq`, the per-op metrics
+/// and slow log (lines that never named an op stay out of both) and the
+/// trace record.
+fn finish(state: &ServerState, answer: Answer<'_>) -> String {
+    let Answer { id, op, key, outcome, mut phases, started, coalesced } = answer;
+    state.served.fetch_add(1, Ordering::SeqCst);
+    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
+    let (ok, code, cache) = match &outcome {
+        Ok((_, cache)) => (true, "ok", *cache),
+        Err(e) => (false, e.code.as_str(), None),
+    };
+    let serialize = SpanTimer::start();
+    let reply = match outcome {
+        Ok((result, cache)) => {
+            let op = op.expect("only a request that named an op succeeds");
+            ok_reply(id, op, cache, started.elapsed().as_millis(), result)
+        }
+        Err(e) => error_reply(id, &e),
+    };
+    phases.serialize_us = serialize.elapsed_us();
+    phases.total_us = micros_since(started);
+    if let Some(op) = op {
+        state.metrics.record(op, &phases, ok);
+        emit_slow(state, seq, op, key, &phases);
+    }
+    emit_trace(state, seq, id, op, key, &phases, code, cache, coalesced);
+    reply
+}
+
+/// Whole microseconds since `instant` (saturating).
+fn micros_since(instant: Instant) -> u64 {
+    u64::try_from(instant.elapsed().as_micros()).unwrap_or(u64::MAX)
 }
 
 fn strategy_str(strategy: Strategy) -> &'static str {
@@ -1535,7 +1584,8 @@ fn inspect_payload(state: &ServerState) -> Value {
                     ("id".into(), row.id.clone().unwrap_or(Value::Null)),
                     ("op".into(), Value::Str(row.op.as_str().to_string())),
                     ("age_ms".into(), Value::UInt(row.started.elapsed().as_millis())),
-                    ("phase".into(), Value::Str(row.phase.to_string())),
+                    // A row exists only while its engine runs.
+                    ("phase".into(), Value::Str("engine".into())),
                     (
                         "progress".into(),
                         progress_value(
@@ -1623,8 +1673,7 @@ fn explain_payload(
     budget: &RunBudget,
 ) -> Result<Value, ServiceError> {
     budget.check("before the explain engine started")?;
-    let config = ExplainConfig::default()
-        .with_lower(LowerBoundConfig::default().with_depth(depth));
+    let config = LowerBoundConfig::default().with_depth(depth);
     let mut check = |_work: usize| budget.check("during symbolic exploration");
     let (provenance, _interruption) = try_explain(term, &config, &mut check);
     let engine_ms = provenance.result.elapsed.as_millis();
@@ -1858,12 +1907,6 @@ impl ReplySink for io::Stdout {}
 
 impl ReplySink for io::Sink {}
 
-impl ReplySink for std::net::TcpStream {
-    fn abort(&mut self) {
-        let _ = self.shutdown(std::net::Shutdown::Both);
-    }
-}
-
 type SharedWriter = Arc<Mutex<Box<dyn ReplySink>>>;
 
 /// The reply side of one event-loop connection: a *nonblocking*
@@ -1924,29 +1967,39 @@ fn refuse_conn(state: &ServerState, mut stream: TcpStream, max_conns: usize) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
+/// A request on its way from a transport reader to a worker.
 struct Job {
-    line: String,
+    work: Work,
     out: SharedWriter,
+    /// When the reader took the request up (see [`Answer::started`]).
+    started: Instant,
     /// When the reader enqueued the job; the worker's pop time minus this is
     /// the request's queue-wait phase.
     enqueued: Instant,
-    /// The shard queue the job went onto — engine ops hash their canonical
-    /// key, everything else round-robins.
+    /// The shard queue the job went onto.
     shard: usize,
-    /// The singleflight lease when this job leads a coalesced engine run.
-    flight: Option<FlightLease>,
 }
 
-/// Admission control, run by transport readers on parsed engine-op requests
-/// *before* enqueueing. Returns the shed reply to write immediately
-/// (bypassing the queue), or `None` to admit. A request is shed when the
-/// queues already hold [`ServerConfig::queue_depth`] jobs, or when its
-/// `deadline_ms` would expire before the predicted queue wait (queued jobs ×
-/// the op's p95 engine time ÷ workers, from the live latency histograms).
-/// Only engine ops are ever submitted here: control ops must stay responsive
-/// under load — that is when `stats` matters most — and malformed lines get
-/// their structured parse error from a worker.
-fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
+/// What a [`Job`] asks of its worker.
+enum Work {
+    /// Run an engine request the reader prepared, keyed and looked up, so the
+    /// worker only runs the engine. It leads the flight, and `phases` holds
+    /// the cache lookup.
+    Engine { engine: Box<EngineRequest>, phases: PhaseTimes, flight: FlightLease },
+    /// Answer a `shutdown` (by id) once the jobs ahead of it on its shard are
+    /// done (see [`shut_down`]).
+    Shutdown(Option<Value>),
+}
+
+/// Admission control, run by transport readers on engine requests the cache
+/// could not answer, *before* enqueueing. Returns the `overloaded` error to
+/// shed with, or `None` to admit. A request is shed when the queues already
+/// hold [`ServerConfig::queue_depth`] jobs, or when its `deadline_ms` would
+/// expire before the predicted queue wait (queued jobs × the op's p95 engine
+/// time ÷ workers, from the live latency histograms). Control ops and
+/// rejected lines never get here: `prepare` answers them inline, so the
+/// server stays observable under load — that is when `stats` matters most.
+fn admission(state: &ServerState, request: &Request) -> Option<ServiceError> {
     let depth = state.config.queue_depth;
     if depth == 0 {
         return None;
@@ -1992,148 +2045,48 @@ fn admission_reply(state: &ServerState, request: &Request) -> Option<String> {
             request.deadline_ms.unwrap_or(0)
         )
     };
-    let error = ServiceError::new(ErrorCode::Overloaded, message)
-        .with_retry_after(predicted_wait_ms.max(1));
-    state.shed.fetch_add(1, Ordering::SeqCst);
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let reply = error_reply(&request.id, &error);
-    let phases = PhaseTimes::default();
-    state.metrics.record(request.op, &phases, false);
-    emit_trace(
-        state,
-        seq,
-        &request.id,
-        Some(request.op),
-        None,
-        &phases,
-        error.code.as_str(),
-        None,
-        false,
-    );
-    Some(reply)
-}
-
-/// Serves a read-only control op (`catalog`, `stats`, `metrics`,
-/// `inspect`) straight from the transport reader. These are cheap state
-/// snapshots, and answering them inline keeps them responsive when every
-/// worker is pinned under engine load — exactly when `stats` matters most.
-/// `shutdown` stays on the pool: its reply-then-flag ordering anchors the
-/// graceful drain. Engine ops (and unparseable lines) return `None`.
-fn serve_inline_control(state: &ServerState, request: &Request) -> Option<String> {
-    let timer = SpanTimer::start();
-    let payload = match request.op {
-        Op::Catalog => catalog_payload(),
-        Op::Stats => stats_payload(state),
-        Op::Metrics => metrics_payload(state),
-        Op::Inspect => inspect_payload(state),
-        _ => return None,
-    };
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let mut phases = PhaseTimes::default();
-    let serialize = SpanTimer::start();
-    let reply = ok_reply(&request.id, request.op, None, 0, payload);
-    phases.serialize_us = serialize.elapsed_us();
-    phases.total_us = timer.elapsed_us();
-    state.metrics.record(request.op, &phases, true);
-    emit_trace(state, seq, &request.id, Some(request.op), None, &phases, "ok", None, false);
-    Some(reply)
-}
-
-/// Serves a *complete* cached entry straight from the transport reader.
-/// [`route_line`] has already paid for the request parse and the canonical
-/// key, so a warm hit needs no queue slot, no worker handoff and no second
-/// parse — on a lock-step client that removes two scheduler round-trips per
-/// request. Returns `None` for misses, partial (deadline-truncated) entries
-/// and over-cap requests, which all fall through to a worker: `engine_op`
-/// owns miss/decline accounting, resume semantics and error rendering. An
-/// inline hit is served too fast to be observable via `inspect`, so it
-/// skips the in-flight registry.
-fn serve_inline_hit(state: &ServerState, request: &Request, key: &CacheKey) -> Option<String> {
-    let EngineParams { depth, runs, steps, .. } = engine_params(request);
-    let config = &state.config;
-    // `verify` keys omit depth/runs/steps, so an over-cap request can share
-    // a key with a legally cached entry — it must still get its cap error
-    // from the worker, never the cached value.
-    if depth > config.max_depth || runs > config.max_runs || steps > config.max_steps {
-        return None;
-    }
-    let timer = SpanTimer::start();
-    let cached = {
-        let mut cache = state.cache.lock().expect("cache lock");
-        match cache.peek(key) {
-            Some(entry) if !payload_is_partial(entry) => {
-                cache.get(key).expect("peeked entry is present")
-            }
-            _ => return None,
-        }
-    };
-    state.served.fetch_add(1, Ordering::SeqCst);
-    let seq = state.request_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let mut phases = PhaseTimes { cache_us: timer.elapsed_us(), ..Default::default() };
-    let serialize = SpanTimer::start();
-    let reply = ok_reply(&request.id, request.op, Some("hit"), 0, cached);
-    phases.serialize_us = serialize.elapsed_us();
-    phases.total_us = timer.elapsed_us();
-    state.metrics.record(request.op, &phases, true);
-    emit_trace(
-        state,
-        seq,
-        &request.id,
-        Some(request.op),
-        Some(key.term),
-        &phases,
-        "ok",
-        Some("hit"),
-        false,
-    );
-    emit_slow(state, seq, request.op, Some(key.term), &phases);
-    Some(reply)
+    let error = ServiceError::new(ErrorCode::Overloaded, message);
+    Some(error.with_retry_after(predicted_wait_ms.max(1)))
 }
 
 /// Where a routed line goes.
 enum Routed {
-    /// Write this reply immediately (admission shed); nothing is enqueued.
+    /// Write this reply immediately; nothing is enqueued.
     Reply(String),
-    /// Enqueue the line on `shard`, carrying a singleflight lease when the
-    /// request leads a new coalesced engine run.
-    Enqueue { shard: usize, flight: Option<FlightLease> },
+    /// Enqueue this job: a `shutdown`, or an engine request that leads a new
+    /// engine run.
+    Enqueue(Job),
     /// The request joined an identical in-flight run as a waiter; the
     /// finishing leader will reply. Nothing to enqueue.
     Coalesced,
 }
 
-/// Routes one raw request line: coalesce onto an identical in-flight engine
-/// run, shed at admission, or enqueue on a shard. Engine ops shard by
-/// canonical key so identical work lands behind its leader; control ops and
-/// anything that fails early validation (those get their structured error
-/// from a worker) round-robin across shards.
+/// Routes one request line on a transport reader: [`prepare`] answers
+/// control ops and rejected lines; a `shutdown` becomes a job on shard 0; an
+/// engine request coalesces onto an identical in-flight run, is served by the
+/// cache, is shed at admission, or becomes a job on the shard of its
+/// canonical key, so identical work lands behind its leader.
 ///
-/// The coalesce check runs *before* admission control: a joiner consumes no
-/// queue slot and no engine run, so an identical request must never be shed
-/// — under a flood of one hot term, admission sees exactly one queued job.
+/// The coalesce check runs first. A joiner consumes no cache lookup, no
+/// queue slot and no engine run, so an identical request is never shed —
+/// under a flood of one hot term, admission sees exactly one queued job. And
+/// a leader caches its result before it leaves the singleflight table, so a
+/// request that finds no flight finds the result in the cache instead.
 fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
-    let fallback = || Routed::Enqueue { shard: state.next_shard(), flight: None };
-    let Ok(request) = parse_request(line) else { return fallback() };
-    if let Some(reply) = serve_inline_control(state, &request) {
-        return Routed::Reply(reply);
-    }
-    if !request.op.is_engine_op() {
-        return fallback();
-    }
-    let Some(source) = request.program.as_deref() else { return fallback() };
-    if source.len() > state.config.max_program_bytes {
-        return fallback();
-    }
-    let Some(term_key) = state.memoized_term_key(source) else { return fallback() };
-    let key = request_cache_key(&request, term_key);
-    // Warm hits are answered right here on the transport thread; everything
-    // else pays the queue.
-    if let Some(reply) = serve_inline_hit(state, &request, &key) {
-        return Routed::Reply(reply);
-    }
-    let shard = (key.term % state.shard_count() as u128) as usize;
+    let started = Instant::now();
+    let job = |work, shard| Job {
+        work,
+        out: Arc::clone(out),
+        started,
+        enqueued: Instant::now(),
+        shard,
+    };
+    let engine = match prepare(state, line, started) {
+        Prepared::Answered(reply) => return Routed::Reply(reply),
+        Prepared::Shutdown(id) => return Routed::Enqueue(job(Work::Shutdown(id), 0)),
+        Prepared::Engine(engine) => engine,
+    };
+    let request = &engine.request;
     let join = |group: &mut FlightGroup| {
         group
             .limit_ms
@@ -2147,21 +2100,25 @@ fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
         });
         state.coalesced_waiters.fetch_add(1, Ordering::Relaxed);
     };
+    if let Some(group) =
+        state.singleflight.lock().expect("singleflight lock").get_mut(&engine.key)
     {
-        let mut flights = state.singleflight.lock().expect("singleflight lock");
-        if let Some(group) = flights.get_mut(&key) {
-            join(group);
-            return Routed::Coalesced;
-        }
+        join(group);
+        return Routed::Coalesced;
     }
-    // Not in flight: normal admission, outside the singleflight lock (the
-    // shed path renders, traces and records metrics).
-    if let Some(reply) = admission_reply(state, &request) {
-        return Routed::Reply(reply);
+    let phases = match lookup(state, &engine, started) {
+        Lookup::Hit(reply) => return Routed::Reply(reply),
+        Lookup::Miss(phases) => phases,
+    };
+    // Outside the singleflight lock: the shed reply is rendered and booked.
+    if let Some(error) = admission(state, request) {
+        state.shed.fetch_add(1, Ordering::SeqCst);
+        let answer = Answer::new(&request.id, Some(request.op), Err(error), started);
+        return Routed::Reply(finish(state, answer));
     }
     let limit_ms = Arc::new(AtomicU64::new(request.deadline_ms.unwrap_or(u64::MAX)));
     let mut flights = state.singleflight.lock().expect("singleflight lock");
-    match flights.entry(key.clone()) {
+    match flights.entry(engine.key.clone()) {
         std::collections::hash_map::Entry::Occupied(mut entry) => {
             // Another reader became the leader between our two lock holds.
             join(entry.get_mut());
@@ -2169,9 +2126,30 @@ fn route_line(state: &ServerState, line: &str, out: &SharedWriter) -> Routed {
         }
         std::collections::hash_map::Entry::Vacant(entry) => {
             entry.insert(FlightGroup { limit_ms: Arc::clone(&limit_ms), waiters: Vec::new() });
-            Routed::Enqueue { shard, flight: Some(FlightLease { key, limit_ms }) }
+            let flight = FlightLease { key: engine.key.clone(), limit_ms };
+            let shard = (engine.key.term % state.shard_count() as u128) as usize;
+            Routed::Enqueue(job(Work::Engine { engine, phases, flight }, shard))
         }
     }
+}
+
+/// Serves one line a transport reader framed: the reply is written at once,
+/// or the job enqueued. Returns `false` when the pool is gone.
+fn serve_line(
+    state: &ServerState,
+    senders: &[mpsc::Sender<Job>],
+    line: &str,
+    out: &SharedWriter,
+) -> bool {
+    if line.trim().is_empty() {
+        return true;
+    }
+    match route_line(state, line, out) {
+        Routed::Reply(reply) => write_reply_line(out, &reply),
+        Routed::Coalesced => {}
+        Routed::Enqueue(job) => return enqueue_job(state, senders, job),
+    }
+    true
 }
 
 /// Structured close of a connection that hit the idle read timeout: one
@@ -2194,31 +2172,24 @@ fn idle_close(state: &ServerState, out: &SharedWriter) {
     }
 }
 
-/// Enqueues one admitted line on its shard queue, keeping the queued-jobs
+/// Enqueues one admitted job on its shard queue, keeping the queued-jobs
 /// gauge (the admission-control input) and the shard-depth gauge in sync.
 /// Returns `false` when the pool is gone.
-fn enqueue_job(
-    state: &ServerState,
-    senders: &[mpsc::Sender<Job>],
-    shard: usize,
-    line: String,
-    out: &SharedWriter,
-    flight: Option<FlightLease>,
-) -> bool {
+fn enqueue_job(state: &ServerState, senders: &[mpsc::Sender<Job>], job: Job) -> bool {
     // Relaxed: both gauges feed heuristics (admission, stats), not an
-    // ordering-sensitive protocol — see `admission_reply`.
+    // ordering-sensitive protocol — see `admission`.
+    let shard = job.shard;
     state.queued.fetch_add(1, Ordering::Relaxed);
     state.shard_depths[shard].add(1);
-    let job = Job { line, out: Arc::clone(out), enqueued: Instant::now(), shard, flight };
     if let Err(mpsc::SendError(job)) = senders[shard].send(job) {
         state.queued.fetch_sub(1, Ordering::Relaxed);
         state.shard_depths[shard].sub(1);
         // The pool is gone (drain): retire the would-be leader's
         // singleflight entry so it cannot absorb further joiners.
-        if let Some(flight) = &job.flight {
-            if let Ok(mut flights) = state.singleflight.lock() {
-                flights.remove(&flight.key);
-            }
+        if let (Work::Engine { flight, .. }, Ok(mut flights)) =
+            (&job.work, state.singleflight.lock())
+        {
+            flights.remove(&flight.key);
         }
         return false;
     }
@@ -2312,60 +2283,67 @@ fn spawn_workers(
                         };
                         state.queued.fetch_sub(1, Ordering::Relaxed);
                         state.shard_depths[job.shard].sub(1);
-                        let queue_us = u64::try_from(job.enqueued.elapsed().as_micros())
-                            .unwrap_or(u64::MAX);
+                        let Job { work, out, started, enqueued, .. } = job;
+                        let (engine, mut phases, flight) = match work {
+                            Work::Engine { engine, phases, flight } => (engine, phases, flight),
+                            Work::Shutdown(id) => {
+                                write_reply_line(&out, &shut_down(&state, &id, started));
+                                continue;
+                            }
+                        };
+                        phases.queue_us = micros_since(enqueued);
                         // Streamed progress frames go straight to the
                         // originating connection, each under its own lock
                         // acquisition so replies to interleaved requests on
                         // the same connection are never blocked for a whole
                         // run.
-                        let frame_out = Arc::clone(&job.out);
-                        let emit_frame = move |frame: &str| {
-                            if let Ok(mut out) = frame_out.lock() {
-                                let _ = out.write_all(frame.as_bytes());
-                                let _ = out.write_all(b"\n");
-                                let _ = out.flush();
-                            }
-                        };
-                        let outcome = process_line(
+                        let emit_frame = |frame: &str| write_reply_line(&out, frame);
+                        let (reply, drop_reply) = run(
                             &state,
-                            &job.line,
-                            queue_us,
+                            &engine,
+                            phases,
+                            started,
                             Some(&emit_frame),
-                            job.flight.as_ref(),
+                            Some(&flight),
                         );
-                        if let Some(mut reply) = outcome.reply {
-                            reply.push('\n');
-                            if let Ok(mut out) = job.out.lock() {
-                                if outcome.drop_reply {
-                                    // Injected fault: half the bytes, then a
-                                    // hard close mid-line.
-                                    let half = reply.len() / 2;
-                                    let _ = out.write_all(&reply.as_bytes()[..half]);
-                                    let _ = out.flush();
-                                    out.abort();
-                                } else {
-                                    // One write per reply: two small writes
-                                    // would interact with Nagle + delayed
-                                    // ACKs and cost ~10 ms per lock-step
-                                    // request on TCP.
-                                    let _ = out.write_all(reply.as_bytes());
-                                    let _ = out.flush();
-                                }
-                            }
-                        }
-                        // The flag is set only after the reply is flushed,
-                        // so a `shutdown` reply is on the wire before the
-                        // accept loop can exit.
-                        if outcome.shutdown {
-                            state.shutdown.store(true, Ordering::SeqCst);
-                        }
+                        if !drop_reply {
+                            write_reply_line(&out, &reply);
+                        } else if let Ok(mut writer) = out.lock() {
+                            // Injected fault: half the bytes, then a hard
+                            // close mid-line.
+                            let _ = writer.write_all(&reply.as_bytes()[..reply.len() / 2]);
+                            let _ = writer.flush();
+                            writer.abort();
+                        };
                     }
                 })
                 .expect("spawn worker thread")
         })
         .collect();
     (senders, handles)
+}
+
+/// Stops the worker pool once a transport stops reading, then writes the
+/// cache snapshot for the next boot. With `drain` set, in-flight runs are
+/// interrupted at their next budget check (and checkpoint); without it, the
+/// workers finish every queued job first. Returns `error`, the transport's
+/// own failure, once the pool is down.
+fn stop_pool(
+    state: &ServerState,
+    senders: Vec<mpsc::Sender<Job>>,
+    workers: Vec<thread::JoinHandle<()>>,
+    drain: bool,
+    error: Option<io::Error>,
+) -> io::Result<()> {
+    if drain {
+        state.draining.store(true, Ordering::SeqCst);
+    }
+    drop(senders);
+    for worker in workers {
+        let _ = worker.join();
+    }
+    state.persist_cache_snapshot()?;
+    error.map_or(Ok(()), Err)
 }
 
 /// The analysis server. Cheap to clone; clones share state (and cache).
@@ -2431,17 +2409,6 @@ impl Server {
         Server { state }
     }
 
-    /// Writes the result cache to [`ServerConfig::cache_path`] (atomic
-    /// temp-file + rename; no-op returning 0 without a path). The serve
-    /// loops call this at graceful drain; exposed for tests and embedders.
-    ///
-    /// # Errors
-    ///
-    /// Propagates snapshot-file write/rename errors.
-    pub fn persist_cache(&self) -> io::Result<usize> {
-        self.state.persist_cache_snapshot()
-    }
-
     /// The shared state (counters, shutdown flag).
     pub fn state(&self) -> &Arc<ServerState> {
         &self.state
@@ -2455,6 +2422,11 @@ impl Server {
     /// Serves newline-delimited JSON over stdin/stdout until EOF or a
     /// `shutdown` request, dispatching to the worker pool. Replies may
     /// interleave out of request order; clients correlate by `id`.
+    ///
+    /// EOF means "no more requests": every request already read still gets
+    /// its full answer before this returns. Only a `shutdown` request or a
+    /// read error drains, interrupting in-flight runs at their next budget
+    /// check.
     ///
     /// # Errors
     ///
@@ -2480,38 +2452,28 @@ impl Server {
             })
             .expect("spawn stdin reader thread");
         let mut read_error = None;
+        let mut eof = false;
         while !self.state.shutdown_requested() {
             match line_receiver.recv_timeout(Duration::from_millis(25)) {
-                Ok(Ok(line)) => match route_line(&self.state, &line, &out) {
-                    Routed::Reply(reply) => write_reply_line(&out, &reply),
-                    Routed::Coalesced => {}
-                    Routed::Enqueue { shard, flight } => {
-                        if !enqueue_job(&self.state, &senders, shard, line, &out, flight) {
-                            break;
-                        }
+                Ok(Ok(line)) => {
+                    if !serve_line(&self.state, &senders, &line, &out) {
+                        break;
                     }
-                },
+                }
                 Ok(Err(e)) => {
                     read_error = Some(e);
                     break;
                 }
                 Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    eof = true;
+                    break;
+                }
             }
         }
-        // Graceful drain: stop accepting input (done — the loop exited), let
-        // the workers finish or checkpoint everything queued, then snapshot
-        // the cache for the next boot and leave.
-        self.state.draining.store(true, Ordering::SeqCst);
-        drop(senders);
-        for worker in workers {
-            let _ = worker.join();
-        }
-        self.state.persist_cache_snapshot()?;
-        match read_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        // EOF means "no more requests": the workers finish everything
+        // queued. A `shutdown` or a read error drains instead.
+        stop_pool(&self.state, senders, workers, !eof, read_error)
     }
 
     /// Serves newline-delimited JSON over TCP until a `shutdown` request,
@@ -2628,21 +2590,8 @@ impl Server {
                     let line = String::from_utf8_lossy(&raw[..pos])
                         .trim_end_matches('\r')
                         .to_string();
-                    match route_line(&self.state, &line, &conn.out) {
-                        Routed::Reply(reply) => write_reply_line(&conn.out, &reply),
-                        Routed::Coalesced => {}
-                        Routed::Enqueue { shard, flight } => {
-                            if !enqueue_job(
-                                &self.state,
-                                &senders,
-                                shard,
-                                line,
-                                &conn.out,
-                                flight,
-                            ) {
-                                conn.closed = true;
-                            }
-                        }
+                    if !serve_line(&self.state, &senders, &line, &conn.out) {
+                        conn.closed = true;
                     }
                 }
                 if !conn.closed {
@@ -2688,18 +2637,8 @@ impl Server {
             }
         }
         // Graceful drain: the event loop has stopped; workers finish or
-        // checkpoint what is queued and in flight, the pool exits, and the
-        // cache snapshot is written for the next boot.
-        self.state.draining.store(true, Ordering::SeqCst);
-        drop(senders);
-        for worker in workers {
-            let _ = worker.join();
-        }
-        self.state.persist_cache_snapshot()?;
-        match fatal {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        // checkpoint what is queued and in flight.
+        stop_pool(&self.state, senders, workers, true, fatal)
     }
 
     /// Binds `addr` and serves it on a background thread; returns the bound
@@ -2965,10 +2904,12 @@ mod tests {
         let lower = r#"{"id":9,"op":"lower","program":"sample","depth":10}"#;
         let parsed = parse_request(lower).expect("parseable");
         // Empty queue with no deadline: admitted without consulting p95.
-        assert!(admission_reply(state, &parsed).is_none());
-        // Queue at depth: shed with a structured overloaded reply.
+        assert!(admission(state, &parsed).is_none());
+        // Queue at depth: the router sheds with a structured overloaded reply.
         state.queued.store(2, Ordering::SeqCst);
-        let reply = admission_reply(state, &parsed).expect("over-depth engine op is shed");
+        let Routed::Reply(reply) = route_line(state, lower, &out) else {
+            panic!("over-depth engine op is shed");
+        };
         assert_eq!(error_code_of(&reply), "overloaded");
         let v: Value = serde_json::from_str(&reply).unwrap();
         let retry = v
@@ -2978,56 +2919,53 @@ mod tests {
             .unwrap();
         assert!(retry >= 1);
         assert_eq!(v.get("id").and_then(Value::as_u64), Some(9), "shed echoes the id");
-        // The router sheds through the same path...
-        assert!(matches!(route_line(state, lower, &out), Routed::Reply(_)));
-        // ...but never sheds control ops or unparseable lines — control
-        // ops are answered inline by the reader even at full queue depth,
-        // and unparseable lines route to a worker for the structured error.
+        // Control ops and unparseable lines are never shed: both are
+        // answered inline by the reader, even at full queue depth.
         match route_line(state, r#"{"op":"stats"}"#, &out) {
             Routed::Reply(reply) => {
                 assert!(reply.contains(r#""ok":true"#), "{reply}");
             }
             _ => panic!("stats is answered inline, never shed"),
         }
-        assert!(matches!(
-            route_line(state, "not json", &out),
-            Routed::Enqueue { flight: None, .. }
-        ));
+        match route_line(state, "not json", &out) {
+            Routed::Reply(reply) => assert_eq!(error_code_of(&reply), "parse_error"),
+            _ => panic!("unparseable lines are answered inline"),
+        }
         // Deadline-doomed shedding: with a recorded 1 s p95 engine time and
         // one queued job, a 10 ms deadline cannot survive the predicted wait.
         state.queued.store(1, Ordering::SeqCst);
         let phases = PhaseTimes { engine_us: 1_000_000, total_us: 1_000_000, ..Default::default() };
         state.metrics.record(Op::Lower, &phases, true);
         let doomed = r#"{"op":"lower","program":"sample","depth":10,"deadline_ms":10}"#;
-        let doomed = parse_request(doomed).expect("parseable");
-        let reply = admission_reply(state, &doomed).expect("doomed deadline is shed");
+        let Routed::Reply(reply) = route_line(state, doomed, &out) else {
+            panic!("doomed deadline is shed");
+        };
         assert_eq!(error_code_of(&reply), "overloaded");
         // Shed requests are counted, and the stats payload mirrors them.
-        // Served is 4: the three sheds plus the inline stats answer above.
-        assert_eq!(state.stats().shed, 3);
+        // Served is 4: the two sheds plus the two inline answers above. A
+        // shed request never counts as a cache miss.
+        assert_eq!(state.stats().shed, 2);
         assert_eq!(state.stats().served, 4);
+        assert_eq!(state.stats().misses, 0);
         let robustness = stats_payload(state);
         let shed = robustness
             .get("robustness")
             .and_then(|r| r.get("shed"))
             .and_then(Value::as_u64);
-        assert_eq!(shed, Some(3));
+        assert_eq!(shed, Some(2));
         // An identical request already in flight is *coalesced*, not shed,
         // even at full queue depth: joiners consume no queue slot.
         state.queued.store(0, Ordering::SeqCst);
         let routed = route_line(state, lower, &out);
-        assert!(
-            matches!(routed, Routed::Enqueue { flight: Some(_), .. }),
-            "first engine op leads a flight"
-        );
+        assert!(matches!(routed, Routed::Enqueue(_)), "first engine op leads a flight");
         state.queued.store(2, Ordering::SeqCst);
         assert!(matches!(route_line(state, lower, &out), Routed::Coalesced));
         assert_eq!(state.stats().coalesced_waiters, 1);
-        assert_eq!(state.stats().shed, 3, "the joiner was not shed");
+        assert_eq!(state.stats().shed, 2, "the joiner was not shed");
         // queue_depth 0 disables admission control entirely.
         let off = Server::new(ServerConfig { queue_depth: 0, ..Default::default() });
         off.state().queued.store(1000, Ordering::SeqCst);
-        assert!(admission_reply(off.state(), &parsed).is_none());
+        assert!(admission(off.state(), &parsed).is_none());
     }
 
     #[test]
@@ -3316,6 +3254,39 @@ mod tests {
         let v = serde_json::from_str(&reply).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
         assert!(s.state().shutdown_requested());
+    }
+
+    #[test]
+    fn pipelined_shutdown_waits_for_the_requests_queued_ahead_of_it() {
+        // One worker, so one shard: a `lower` pipelined ahead of `shutdown`
+        // on one connection finishes in full before the drain starts. The
+        // injected 300 ms sleep keeps it running while the shutdown line is
+        // read; a drain would cut it short.
+        let s = Server::new(ServerConfig {
+            workers: 1,
+            inject: Some(InjectSpec::parse("seed=1;slow=@1:300").unwrap()),
+            ..Default::default()
+        });
+        let running = s.spawn_tcp("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(running.addr).unwrap();
+        let geo = "(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0";
+        let lines = format!(
+            "{{\"id\":1,\"op\":\"lower\",\"program\":\"{geo}\",\"depth\":30}}\n\
+             {{\"id\":2,\"op\":\"shutdown\"}}\n"
+        );
+        stream.write_all(lines.as_bytes()).unwrap();
+        let mut replies = io::BufReader::new(stream).lines();
+        let lower = replies.next().unwrap().unwrap();
+        let lower_v: Value = serde_json::from_str(&lower).unwrap();
+        assert_eq!(lower_v.get("id").and_then(Value::as_u64), Some(1), "{lower}");
+        let result = result_of(&lower);
+        assert_eq!(result.get("complete").and_then(Value::as_bool), Some(true), "{lower}");
+        let bye = replies.next().unwrap().unwrap();
+        let bye_v: Value = serde_json::from_str(&bye).unwrap();
+        assert_eq!(bye_v.get("id").and_then(Value::as_u64), Some(2), "{bye}");
+        result_of(&bye);
+        running.join().unwrap();
+        assert_eq!(s.state().stats().drained_in_flight, 0);
     }
 
     #[test]

@@ -418,17 +418,6 @@ impl Term {
         }
     }
 
-    /// Simultaneous substitution of several variables.
-    pub fn subst_many(&self, substitutions: &[(Ident, Term)]) -> Term {
-        // Sequential substitution is sound here because callers only use it
-        // with replacements that are closed terms.
-        let mut out = self.clone();
-        for (x, r) in substitutions {
-            out = out.subst(x, r);
-        }
-        out
-    }
-
     /// Number of AST nodes (a rough size measure used by tests and reports).
     pub fn size(&self) -> usize {
         match self {

@@ -104,11 +104,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record a [`Duration`](std::time::Duration) in whole microseconds.
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
-    }
-
     /// Number of observations recorded so far.
     #[must_use]
     pub fn count(&self) -> u64 {

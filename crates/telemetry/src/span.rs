@@ -51,11 +51,6 @@ impl SpanTimer {
         self.lap_started = now;
         lap
     }
-
-    /// Like [`lap`](Self::lap), in whole microseconds (saturating).
-    pub fn lap_us(&mut self) -> u64 {
-        u64::try_from(self.lap().as_micros()).unwrap_or(u64::MAX)
-    }
 }
 
 #[cfg(test)]

@@ -224,6 +224,45 @@ else
 fi
 
 # ---------------------------------------------------------------------------
+# Stdio batch smoke test: pipe a 5-request batch into `probterm serve` on one
+# worker and let stdin hit EOF while engine jobs are still queued. EOF means
+# "no more requests", not "stop": every request must get exactly one reply,
+# and none may be interrupted by a drain (`overloaded`).
+echo "== stdio batch smoke test =="
+stdio_status=0
+if [ -x target/release/probterm ]; then
+    stdio_out=$(printf '%s\n' \
+        '{"id":1,"op":"lower","program":"(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0","depth":30}' \
+        '{"id":2,"op":"verify","program":"(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1","depth":200}' \
+        '{"id":3,"op":"analyze","program":"(fix phi x. if sample <= 1/2 then x else phi (phi (x + 1))) 1","depth":20}' \
+        '{"id":4,"op":"catalog"}' \
+        'bogus' |
+        timeout 60 target/release/probterm serve --workers 1)
+    replies=$(printf '%s\n' "$stdio_out" | grep -c '"ok":')
+    answered=$(printf '%s\n' "$stdio_out" | grep -c '"ok":true')
+    case "$replies/$answered/$stdio_out" in
+        *'"overloaded"'*)
+            echo "stdio FAILED: a request was interrupted at EOF: $stdio_out"
+            stdio_status=1
+            ;;
+        5/4/*) echo "stdio ok: one reply per request, 4 answered, none interrupted at EOF" ;;
+        *)
+            echo "stdio FAILED: expected 5 replies (4 ok), got $replies ($answered): $stdio_out"
+            stdio_status=1
+            ;;
+    esac
+else
+    echo "stdio FAILED: target/release/probterm missing (release build failed?)"
+    stdio_status=1
+fi
+if [ "$stdio_status" -ne 0 ]; then
+    echo "stdio batch smoke test: FAILED"
+    status=1
+else
+    echo "stdio batch smoke test: OK"
+fi
+
+# ---------------------------------------------------------------------------
 # Chaos smoke test: boot `probterm serve` with deterministic fault injection
 # (every 4th engine run panics), a single worker and an admission queue of
 # depth 1, then drive a scripted batch that exercises the robustness layer

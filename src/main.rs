@@ -24,7 +24,7 @@
 
 use probterm::core::astver::{build_tree, try_verify_ast_profiled};
 use probterm::core::intervalsem::{
-    lower_bound, try_explain, try_lower_bound, ExplainConfig, LowerBoundConfig,
+    lower_bound, try_explain, try_lower_bound, LowerBoundConfig,
 };
 use probterm::core::{analyze, analyze_ast, AnalysisConfig};
 use probterm::numerics::Rational;
@@ -1144,8 +1144,7 @@ fn main() -> ExitCode {
                             }
                         }
                     } else {
-                        let config = ExplainConfig::default()
-                            .with_lower(LowerBoundConfig::default().with_depth(options.depth));
+                        let config = LowerBoundConfig::default().with_depth(options.depth);
                         let deadline = options.deadline_ms.map(|ms| {
                             std::time::Instant::now() + std::time::Duration::from_millis(ms)
                         });
