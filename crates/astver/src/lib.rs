@@ -35,10 +35,5 @@
 mod papprox;
 mod tree;
 
-pub use papprox::{
-    try_verify_ast, try_verify_ast_profiled, verify_ast, AstVerification, Strategy, VerifyError,
-};
-pub use tree::{
-    build_tree, try_build_tree, try_build_tree_profiled, ExecTree, GuardValue, SymbolicTree,
-    TreeError,
-};
+pub use papprox::{try_verify_ast, verify_ast, AstVerification, Strategy, VerifyError};
+pub use tree::{build_tree, try_build_tree, ExecTree, GuardValue, SymbolicTree, TreeError};

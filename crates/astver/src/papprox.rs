@@ -15,7 +15,7 @@
 //! argument (Theorem 6.2); if its shift is AST (Theorem 5.4) the program is
 //! AST on every argument (Theorem 5.9).
 
-use crate::tree::{try_build_tree_profiled, ExecTree, SymbolicTree, TreeError};
+use crate::tree::{try_build_tree, ExecTree, SymbolicTree, TreeError};
 use probterm_telemetry::{EngineProfile, ProfileCell};
 use probterm_numerics::Rational;
 use probterm_polytope::UnitCubePolytope;
@@ -35,7 +35,7 @@ pub enum VerifyError {
     NonLinearGuard(String),
     /// There are too many Environment nodes to enumerate all strategies.
     TooManyEnvironmentNodes(usize),
-    /// The cooperative check of [`try_verify_ast`] cancelled the verification
+    /// The stop hook of [`try_verify_ast`] cancelled the verification
     /// (e.g. the analysis service enforcing a per-request deadline).
     Interrupted,
 }
@@ -231,7 +231,7 @@ pub struct AstVerification {
     /// `std::time::Instant`).
     pub elapsed: Duration,
     /// Machine profile of the execution-tree construction, present iff the
-    /// verification ran through [`try_verify_ast_profiled`] with profiling on.
+    /// verification ran through [`try_verify_ast`] with profiling on.
     pub profile: Option<EngineProfile>,
 }
 
@@ -274,13 +274,15 @@ const MAX_ENV_NODES: usize = 20;
 /// assert_eq!(result.papprox.probability(2), Rational::from_ratio(1, 2));
 /// ```
 pub fn verify_ast(term: &Term) -> Result<AstVerification, VerifyError> {
-    try_verify_ast(term, &mut || Ok(()))
+    try_verify_ast(term, false, &mut || false)
 }
 
-/// Like [`verify_ast`], but calls `check` periodically — inside the symbolic
-/// execution tree construction and between Environment strategies — and
-/// aborts with [`VerifyError::Interrupted`] when it fails. This is the hook
-/// through which the analysis service enforces `deadline_ms` *inside* a
+/// Like [`verify_ast`], with every hook. With `profile` set, a machine
+/// profile of the execution-tree construction lands in the result's
+/// `profile` field. `stop` is polled inside the symbolic execution tree
+/// construction and between Environment strategies; when it returns `true`
+/// the verification aborts with [`VerifyError::Interrupted`]. This is the
+/// hook through which the analysis service enforces `deadline_ms` *inside* a
 /// running verification instead of only before/after it.
 ///
 /// # Errors
@@ -288,21 +290,8 @@ pub fn verify_ast(term: &Term) -> Result<AstVerification, VerifyError> {
 /// As [`verify_ast`], plus [`VerifyError::Interrupted`].
 pub fn try_verify_ast(
     term: &Term,
-    check: &mut dyn FnMut() -> Result<(), ()>,
-) -> Result<AstVerification, VerifyError> {
-    try_verify_ast_profiled(term, false, check)
-}
-
-/// Like [`try_verify_ast`], optionally tallying a machine profile of the
-/// execution-tree construction into the result's `profile` field.
-///
-/// # Errors
-///
-/// As [`verify_ast`], plus [`VerifyError::Interrupted`].
-pub fn try_verify_ast_profiled(
-    term: &Term,
     profile: bool,
-    check: &mut dyn FnMut() -> Result<(), ()>,
+    stop: &mut dyn FnMut() -> bool,
 ) -> Result<AstVerification, VerifyError> {
     let start = Instant::now();
     let profile_cell = profile.then(ProfileCell::shared);
@@ -310,7 +299,7 @@ pub fn try_verify_ast_profiled(
         tree,
         sample_count,
         env_count,
-    } = try_build_tree_profiled(term, profile_cell.as_ref(), check).map_err(|e| match e {
+    } = try_build_tree(term, profile_cell.as_ref(), stop).map_err(|e| match e {
         TreeError::Interrupted => VerifyError::Interrupted,
         other => VerifyError::Tree(other),
     })?;
@@ -323,7 +312,9 @@ pub fn try_verify_ast_profiled(
     // Pre-compute, per strategy, the (volume, μ-count, stuck) triple of each path.
     let mut per_strategy: Vec<Vec<(Rational, u64, bool)>> = Vec::with_capacity(strategies.len());
     for strategy in &strategies {
-        check().map_err(|()| VerifyError::Interrupted)?;
+        if stop() {
+            return Err(VerifyError::Interrupted);
+        }
         let paths = collect_paths(&tree, sample_count, strategy)?;
         per_strategy.push(
             paths

@@ -253,8 +253,8 @@ pub enum TreeError {
     BodyDidNotNormalise,
     /// An ill-formed application was encountered during symbolic execution.
     IllFormed(String),
-    /// The cooperative check of [`try_build_tree`] cancelled the construction
-    /// (the analysis service enforcing a deadline).
+    /// The stop hook of [`try_build_tree`] cancelled the construction (the
+    /// analysis service enforcing a deadline).
     Interrupted,
 }
 
@@ -326,34 +326,23 @@ const TREE_FUEL: usize = 1_000_000;
 /// Returns a [`TreeError`] if the shape is unsupported or the body does not
 /// normalise within an internal step budget.
 pub fn build_tree(term: &Term) -> Result<SymbolicTree, TreeError> {
-    try_build_tree(term, &mut || Ok(()))
+    try_build_tree(term, None, &mut || false)
 }
 
-/// Like [`build_tree`], but calls `check` periodically during construction
-/// and aborts with [`TreeError::Interrupted`] when it fails — the hook
-/// through which the analysis service enforces per-request deadlines inside
-/// the verifier.
+/// Like [`build_tree`], with every hook. Machine steps, events, branch forks
+/// and the maximum tree recursion depth are tallied into `profile` when one
+/// is given. `stop` is polled at every machine event; when it returns `true`
+/// construction aborts with [`TreeError::Interrupted`] — the hook through
+/// which the analysis service enforces per-request deadlines inside the
+/// verifier.
 ///
 /// # Errors
 ///
 /// As [`build_tree`], plus [`TreeError::Interrupted`].
 pub fn try_build_tree(
     term: &Term,
-    check: &mut dyn FnMut() -> Result<(), ()>,
-) -> Result<SymbolicTree, TreeError> {
-    try_build_tree_profiled(term, None, check)
-}
-
-/// Like [`try_build_tree`], tallying machine steps, events, branch forks and
-/// the maximum tree recursion depth into `profile` when one is given.
-///
-/// # Errors
-///
-/// As [`build_tree`], plus [`TreeError::Interrupted`].
-pub fn try_build_tree_profiled(
-    term: &Term,
     profile: Option<&SharedProfile>,
-    check: &mut dyn FnMut() -> Result<(), ()>,
+    stop: &mut dyn FnMut() -> bool,
 ) -> Result<SymbolicTree, TreeError> {
     let fixpoint = match term {
         Term::App(f, _) if matches!(**f, Term::Fix(_, _, _)) => &**f,
@@ -376,7 +365,7 @@ pub fn try_build_tree_profiled(
     if let Some(cell) = profile {
         machine.set_profile(Rc::clone(cell));
     }
-    let tree = drive_tree(&mut machine, &mut builder, 1, check)?;
+    let tree = drive_tree(&mut machine, &mut builder, 1, stop)?;
     Ok(SymbolicTree {
         tree,
         sample_count: builder.samples,
@@ -397,7 +386,7 @@ fn drive_tree(
     machine: &mut Machine<'_, GuardValue, RecMarker>,
     builder: &mut Builder,
     depth: usize,
-    check: &mut dyn FnMut() -> Result<(), ()>,
+    stop: &mut dyn FnMut() -> bool,
 ) -> Result<ExecTree, TreeError> {
     if let Some(profile) = machine.profile() {
         profile.observe_frontier(depth);
@@ -408,7 +397,9 @@ fn drive_tree(
         // Trees are small (the global fuel is a safety valve, not a working
         // budget), so checking every event is cheap and keeps deadline
         // latency tight.
-        check().map_err(|()| TreeError::Interrupted)?;
+        if stop() {
+            return Err(TreeError::Interrupted);
+        }
         // Charge this machine's progress against the global budget so that
         // runaway recursion in *any* branch exhausts construction as a whole.
         let now = machine.steps();
@@ -467,8 +458,8 @@ fn drive_tree(
                     }
                     machine.resume_branch(true);
                     else_machine.resume_branch(false);
-                    let then_tree = drive_tree(machine, builder, depth + 1, check)?;
-                    let else_tree = drive_tree(&mut else_machine, builder, depth + 1, check)?;
+                    let then_tree = drive_tree(machine, builder, depth + 1, stop)?;
+                    let else_tree = drive_tree(&mut else_machine, builder, depth + 1, stop)?;
                     if guard.mentions_unknown() {
                         let id = builder.env_nodes;
                         builder.env_nodes += 1;
@@ -597,20 +588,17 @@ mod tests {
     fn interruption_cancels_construction() {
         let b = catalog::tired_printer(Rational::parse("0.6").unwrap());
         let mut budget = 1usize;
-        let result = try_build_tree(&b.term, &mut || {
+        let result = try_build_tree(&b.term, None, &mut || {
             if budget == 0 {
-                Err(())
+                true
             } else {
                 budget -= 1;
-                Ok(())
+                false
             }
         });
         assert_eq!(result, Err(TreeError::Interrupted));
-        // An infallible check reproduces build_tree exactly.
-        assert_eq!(
-            try_build_tree(&b.term, &mut || Ok(())),
-            build_tree(&b.term)
-        );
+        // A stop hook that never fires reproduces build_tree exactly.
+        assert_eq!(try_build_tree(&b.term, None, &mut || false), build_tree(&b.term));
     }
 
     #[test]

@@ -98,6 +98,7 @@ fn bench_monte_carlo_gr(c: &mut Criterion) {
         max_steps: 6_000,
         seed: 13,
         strategy: Strategy::CallByValue,
+        profile: false,
     };
     group.bench_function("estimate_400x6000", |b| {
         b.iter(|| {

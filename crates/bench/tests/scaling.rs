@@ -18,7 +18,7 @@ fn time_truncated_run(max_steps: usize) -> Duration {
     for _ in 0..3 {
         let mut trace = FixedTrace::from_ratios(&ratios);
         let start = Instant::now();
-        let run = run_machine_summary(Strategy::CallByValue, &gr, &mut trace, max_steps);
+        let run = run_machine_summary(Strategy::CallByValue, &gr, &mut trace, max_steps, None);
         let elapsed = start.elapsed();
         assert_eq!(run.outcome, SummaryOutcome::OutOfFuel);
         assert_eq!(run.steps, max_steps);

@@ -4,13 +4,15 @@
 //! Programs with Continuous Distributions"* (Beutner & Ong, PLDI 2021). This
 //! crate stitches the individual analyses into a single convenient API:
 //!
-//! * [`analyze_lower_bound`] — lower bounds on the probability of termination
-//!   via the interval-trace semantics (paper §3, §7.1; Table 1),
-//! * [`analyze_ast`] — automated AST verification of non-affine recursion via
-//!   counting, strategies and polytope volumes (paper §5–§6, §7.2; Table 2),
-//! * [`TerminationReport`] / [`analyze`] — both analyses plus Monte-Carlo
-//!   cross-validation and structural diagnostics in one call,
-//! * re-exports of all constituent crates under predictable names.
+//! * [`TerminationReport`] / [`analyze`] — lower bounds on the probability of
+//!   termination via the interval-trace semantics (paper §3, §7.1; Table 1)
+//!   and automated AST verification of non-affine recursion via counting,
+//!   strategies and polytope volumes (paper §5–§6, §7.2; Table 2), plus
+//!   Monte-Carlo cross-validation and structural diagnostics in one call;
+//!   [`try_analyze`] is the same pipeline with a stop hook,
+//! * re-exports of all constituent crates under predictable names; each
+//!   analysis on its own is `intervalsem::lower_bound` or
+//!   `astver::verify_ast`.
 //!
 //! # Quick start
 //!
@@ -21,7 +23,8 @@
 //! let program = parse_term(
 //!     "(fix phi x. if sample <= 0.5 then x else phi (phi (x + 1))) 1",
 //! ).unwrap();
-//! let report = analyze(&program, &AnalysisConfig { lower_bound_depth: 60, ..Default::default() });
+//! let report =
+//!     analyze(&program, &AnalysisConfig { lower_bound_depth: 60, ..Default::default() }).unwrap();
 //! assert_eq!(report.ast_verified, Some(true));
 //! assert!(report.lower_bound.probability.to_f64() > 0.5);
 //! ```
@@ -37,9 +40,8 @@ pub use probterm_polytope as polytope;
 pub use probterm_rwalk as rwalk;
 pub use probterm_spcf as spcf;
 
-use probterm_astver::{try_verify_ast_profiled, verify_ast, AstVerification, VerifyError};
-use probterm_intervalsem::{lower_bound, try_lower_bound, LowerBoundConfig, LowerBoundResult};
-use probterm_numerics::Rational;
+use probterm_astver::{try_verify_ast, AstVerification, VerifyError};
+use probterm_intervalsem::{try_lower_bound, LowerBoundConfig, LowerBoundResult};
 use probterm_rwalk::CountingDistribution;
 use probterm_spcf::{
     infer_type, try_estimate_termination, MonteCarloConfig, MonteCarloEstimate, SimpleType,
@@ -143,76 +145,44 @@ impl fmt::Display for AnalysisError {
 
 impl std::error::Error for AnalysisError {}
 
-/// Computes a lower bound on the probability of termination (paper §3/§7.1).
-pub fn analyze_lower_bound(term: &Term, depth: usize) -> LowerBoundResult {
-    lower_bound(term, &LowerBoundConfig::default().with_depth(depth))
-}
-
-/// Runs the counting-based AST verifier (paper §5–§6/§7.2).
-///
-/// # Errors
-///
-/// Propagates [`VerifyError`] from the verifier (unsupported shape, non-affine
-/// guard, too many Environment nodes).
-pub fn analyze_ast(term: &Term) -> Result<AstVerification, VerifyError> {
-    verify_ast(term)
-}
-
 /// Runs both analyses (plus an optional Monte-Carlo cross-check) and returns a
-/// combined report. Programs that are not simply typed yield a report with a
-/// zero lower bound via [`try_analyze`]; use that variant to observe errors.
-pub fn analyze(term: &Term, config: &AnalysisConfig) -> TerminationReport {
-    try_analyze(term, config).unwrap_or_else(|_| TerminationReport {
-        simple_type: SimpleType::Real,
-        lower_bound: analyze_lower_bound(&Term::int(0), 1),
-        ast: None,
-        ast_verified: None,
-        papprox: None,
-        ast_skipped: Some("program is not simply typed".into()),
-        monte_carlo: None,
-    })
-}
-
-/// Like [`analyze`] but reports type errors instead of degrading.
+/// combined report: [`try_analyze`] with a stop hook that never fires.
 ///
 /// # Errors
 ///
 /// Returns [`AnalysisError::IllTyped`] when the program is open or not simply
 /// typed.
-pub fn try_analyze(term: &Term, config: &AnalysisConfig) -> Result<TerminationReport, AnalysisError> {
-    try_analyze_budgeted(term, config, &mut || Ok(())).map(|analysis| {
-        debug_assert!(analysis.complete);
-        analysis.report
-    })
+pub fn analyze(term: &Term, config: &AnalysisConfig) -> Result<TerminationReport, AnalysisError> {
+    try_analyze(term, config, &mut || false).map(|analysis| analysis.report)
 }
 
-/// A combined analysis that may have been cut short by its budget check.
+/// A combined analysis that may have been cut short by its stop hook.
 #[derive(Debug, Clone)]
 pub struct BudgetedAnalysis {
     /// The (possibly partial) report. The lower bound is always sound —
     /// interruption only loses bound mass (Thm. 3.4); skipped stages are
     /// explained by `ast_skipped` / a `None` Monte-Carlo estimate.
     pub report: TerminationReport,
-    /// `false` when any stage was interrupted or skipped by the check.
+    /// `false` when any stage was interrupted or skipped by the stop hook.
     pub complete: bool,
 }
 
-/// Like [`try_analyze`], but threads a cooperative interruption check through
-/// every stage: inside the symbolic exploration of the lower-bound engine,
-/// inside the AST verifier's tree construction and strategy enumeration, and
-/// between Monte-Carlo chunks. When the check fails, the remaining stages
-/// are skipped and the report degrades gracefully — the lower bound keeps the
-/// sound partial mass accumulated so far. This is the engine behind the
-/// analysis service's deadline-bounded `analyze` requests.
+/// Like [`analyze`], with the stop hook `stop` (`true` means stop) polled
+/// through every stage: inside the symbolic exploration of the lower-bound
+/// engine, inside the AST verifier's tree construction and strategy
+/// enumeration, and between Monte-Carlo chunks. When it fires, the remaining
+/// stages are skipped and the report degrades gracefully — the lower bound
+/// keeps the sound partial mass accumulated so far. This is the engine behind
+/// the analysis service's deadline-bounded `analyze` requests.
 ///
 /// # Errors
 ///
 /// Returns [`AnalysisError::IllTyped`] when the program is open or not simply
 /// typed.
-pub fn try_analyze_budgeted(
+pub fn try_analyze(
     term: &Term,
     config: &AnalysisConfig,
-    check: &mut dyn FnMut() -> Result<(), ()>,
+    stop: &mut dyn FnMut() -> bool,
 ) -> Result<BudgetedAnalysis, AnalysisError> {
     let simple_type = infer_type(term).map_err(AnalysisError::IllTyped)?;
     let mut complete = true;
@@ -220,15 +190,14 @@ pub fn try_analyze_budgeted(
     let lower_config = LowerBoundConfig::default()
         .with_depth(config.lower_bound_depth)
         .with_profile(config.profile);
-    let mut lower_check = |_work: usize| check();
-    let (lower, _interruption) = try_lower_bound(term, &lower_config, &mut lower_check);
+    let (lower, _checkpoint) = try_lower_bound(term, &lower_config, None, stop);
     complete &= !lower.interrupted;
 
-    let (ast, ast_verified, papprox, ast_skipped) = if check().is_err() {
+    let (ast, ast_verified, papprox, ast_skipped) = if stop() {
         complete = false;
         (None, None, None, Some("interrupted before the AST verifier started".to_string()))
     } else {
-        match try_verify_ast_profiled(term, config.profile, check) {
+        match try_verify_ast(term, config.profile, stop) {
             Ok(v) => {
                 let verified = v.verified_ast;
                 let papprox = v.papprox.clone();
@@ -244,7 +213,7 @@ pub fn try_analyze_budgeted(
 
     let monte_carlo = if config.monte_carlo_runs == 0 {
         None
-    } else if check().is_err() {
+    } else if stop() {
         complete = false;
         None
     } else {
@@ -253,16 +222,11 @@ pub fn try_analyze_budgeted(
             max_steps: config.monte_carlo_steps,
             seed: config.seed,
             strategy: Strategy::CallByName,
+            profile: false,
         };
-        match try_estimate_termination(term, &mc_config, |i| {
-            if i % 32 == 0 {
-                check()
-            } else {
-                Ok(())
-            }
-        }) {
+        match try_estimate_termination(term, &mc_config, stop) {
             Ok(estimate) => Some(estimate),
-            Err(()) => {
+            Err(_runs_done) => {
                 complete = false;
                 None
             }
@@ -283,14 +247,10 @@ pub fn try_analyze_budgeted(
     })
 }
 
-/// Convenience: the certified lower bound as an exact rational.
-pub fn certified_lower_bound(term: &Term, depth: usize) -> Rational {
-    analyze_lower_bound(term, depth).probability
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use probterm_numerics::Rational;
     use probterm_spcf::catalog;
     use probterm_spcf::parse_term;
 
@@ -306,7 +266,8 @@ mod tests {
                 seed: 1,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(report.simple_type, SimpleType::Real);
         assert_eq!(report.ast_verified, Some(true));
         let lb = report.lower_bound.probability.to_f64();
@@ -321,7 +282,7 @@ mod tests {
     #[test]
     fn non_fixpoint_programs_skip_the_verifier_gracefully() {
         let term = parse_term("if sample <= 1/2 then 0 else 1").unwrap();
-        let report = analyze(&term, &AnalysisConfig::default());
+        let report = analyze(&term, &AnalysisConfig::default()).unwrap();
         assert_eq!(report.ast_verified, None);
         assert!(report.ast_skipped.is_some());
         assert_eq!(report.lower_bound.probability, Rational::one());
@@ -331,18 +292,25 @@ mod tests {
     fn ill_typed_programs_are_reported() {
         let term = parse_term("(lam x. x x) (lam x. x x)").unwrap();
         assert!(matches!(
-            try_analyze(&term, &AnalysisConfig::default()),
+            try_analyze(&term, &AnalysisConfig::default(), &mut || false),
             Err(AnalysisError::IllTyped(_))
         ));
-        // The non-erroring variant degrades instead of panicking.
-        let degraded = analyze(&term, &AnalysisConfig::default());
-        assert!(degraded.ast_skipped.is_some());
+        // The plain call reports the same error: Ω diverges, so no report
+        // (and in particular no `Pterm >= 1`) may be certified for it.
+        assert!(matches!(
+            analyze(&term, &AnalysisConfig::default()),
+            Err(AnalysisError::IllTyped(_))
+        ));
     }
 
     #[test]
     fn certified_lower_bound_is_sound_for_a_non_ast_term() {
         let b = catalog::printer_nonaffine(Rational::from_ratio(1, 4));
-        let lb = certified_lower_bound(&b.term, 60);
+        let lb = probterm_intervalsem::lower_bound(
+            &b.term,
+            &LowerBoundConfig::default().with_depth(60),
+        )
+        .probability;
         assert!(lb.to_f64() <= 1.0 / 3.0 + 1e-12);
         assert!(lb.to_f64() > 0.25);
     }

@@ -26,8 +26,8 @@
 //! `--top K`), `paths` (array) and `frontier` (object).
 //!
 //! Each entry of `paths`: `index` (uint, exploration order), `volume` (exact
-//! rational string), `volume_f64`, `method` (`"exact"` | `"box_sweep"` |
-//! `"unmeasured"`), `box_budget` (uint, only for `box_sweep`), `samples`,
+//! rational string), `volume_f64`, `method` (`"exact"` | `"box_sweep"`),
+//! `box_budget` (uint, only for `box_sweep`), `samples`,
 //! `steps` (uints), `branches` (string over `T`/`E`), `constraints` (array of
 //! display strings), `result` (string or null), `witness` (null, or an object
 //! `{trace: [rational strings], replayed: bool, replay_steps: uint|null}`).
@@ -142,7 +142,6 @@ fn method_str(method: VolumeMethod) -> &'static str {
     match method {
         VolumeMethod::Exact => "exact",
         VolumeMethod::BoxSweep { .. } => "box_sweep",
-        VolumeMethod::Unmeasured => "unmeasured",
     }
 }
 

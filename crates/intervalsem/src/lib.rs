@@ -42,9 +42,8 @@ pub use iterm::{
     IntervalTrace,
 };
 pub use lowerbound::{
-    lower_bound, lower_bound_profile, try_lower_bound, try_lower_bound_measured,
-    try_lower_bound_resumable, LowerBoundCheckpoint, LowerBoundConfig, LowerBoundResult,
-    PathMeasure, VolumeMethod,
+    lower_bound, try_lower_bound, LowerBoundCheckpoint, LowerBoundConfig, LowerBoundResult,
+    VolumeMethod,
 };
 pub use past::{
     divergence_ratio, expected_steps_profile, refute_past_bound, ExpectedStepsPoint, PastProbe,
@@ -52,7 +51,6 @@ pub use past::{
 };
 pub use provenance::{explain, try_explain, FrontierSummary, PathProvenance, Provenance, Witness};
 pub use symbolic::{
-    explore, explore_substitution, frontier_seeds, try_explore, try_explore_seeded_progress,
-    Branch, ConstraintKind, Exploration, ExplorationConfig, FrontierPath, ReplaySeed,
-    SymConstraint, SymValue, SymbolicPath,
+    explore, explore_substitution, frontier_seeds, Branch, ConstraintKind, Exploration,
+    ExplorationConfig, FrontierPath, ReplaySeed, SymConstraint, SymValue, SymbolicPath,
 };

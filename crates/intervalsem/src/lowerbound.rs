@@ -20,10 +20,15 @@
 //! cancelled mid-exploration (the analysis service does so on `deadline_ms`)
 //! and the bound computed so far is still valid — merely smaller than what a
 //! completed run would certify.
+//!
+//! The engine has two entry points: [`lower_bound`], and [`try_lower_bound`],
+//! which carries every hook — a resume checkpoint and a stop hook
+//! `&mut dyn FnMut() -> bool` (`true` means stop); profiling and live
+//! progress ride in [`LowerBoundConfig`]. [`crate::explain`] runs on the same
+//! private core.
 
 use crate::symbolic::{
     frontier_seeds, try_explore_seeded_progress, Exploration, ExplorationConfig, ReplaySeed,
-    SymbolicPath,
 };
 use probterm_numerics::Rational;
 use probterm_spcf::Term;
@@ -33,7 +38,7 @@ use std::time::{Duration, Instant};
 
 /// How the volume contribution of one terminated symbolic path was computed.
 ///
-/// Recorded per path by [`try_lower_bound_measured`] and surfaced verbatim in
+/// Recorded per path by the engine and surfaced verbatim in
 /// the provenance artifact ([`crate::provenance`]), so a reported bound can be
 /// audited path by path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,22 +47,17 @@ pub enum VolumeMethod {
     Exact,
     /// Adaptive box-splitting sweep with the given box budget: a sound lower
     /// bound on the region's volume, generally below the true volume.
+    /// An interrupted sweep reports its sound partial sum here too.
     BoxSweep {
         /// The box budget the sweep ran with.
         max_boxes: usize,
     },
-    /// Not measured. Kept for provenance-artifact compatibility: since
-    /// measurement moved *into* the exploration loop (every path is measured
-    /// the instant it terminates, with an interruptible sweep), the engine no
-    /// longer produces this variant — an interrupted sweep reports its sound
-    /// partial sum as `BoxSweep` instead of discarding it.
-    Unmeasured,
 }
 
 /// The volume contribution of one terminated path, aligned index-for-index
 /// with `Exploration::terminated`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PathMeasure {
+pub(crate) struct PathMeasure {
     /// The (sound lower bound on the) volume of the path region.
     pub volume: Rational,
     /// How `volume` was obtained.
@@ -80,7 +80,7 @@ pub struct LowerBoundConfig {
     /// When `true`, the underlying exploration attaches a machine profile,
     /// reported in [`LowerBoundResult::profile`].
     pub profile: bool,
-    /// Live-progress cell the engine publishes into at its cooperative-check
+    /// Live-progress cell the engine publishes into at its stop-hook
     /// poll points (steps, frontier, depth) and on every path termination
     /// (path count, monotone bound). `None` — the default — costs one
     /// `Option` check at each poll point, guarded by the telemetry overhead
@@ -137,7 +137,7 @@ impl LowerBoundConfig {
     }
 
     /// Builder: attaches a live-progress cell. The engine publishes
-    /// steps/frontier/depth at its cooperative-check poll points and the
+    /// steps/frontier/depth at its stop-hook poll points and the
     /// monotone bound-so-far the instant each path's volume lands, so
     /// concurrent observers (the analysis service's `inspect` op, streamed
     /// progress frames) see a consistent, never-regressing view mid-run.
@@ -172,7 +172,7 @@ pub struct LowerBoundResult {
     pub unexplored_paths: usize,
     /// Number of stuck paths (score failures, domain errors).
     pub stuck_paths: usize,
-    /// `true` when the computation was cancelled by the cooperative check of
+    /// `true` when the computation was cancelled by the stop hook of
     /// [`try_lower_bound`] before it finished. The bounds are still sound —
     /// partial explorations only lose mass (Thm. 3.4).
     pub interrupted: bool,
@@ -208,52 +208,7 @@ impl LowerBoundResult {
 /// assert!(result.probability < Rational::one());
 /// ```
 pub fn lower_bound(term: &Term, config: &LowerBoundConfig) -> LowerBoundResult {
-    let (result, interrupted) =
-        try_lower_bound::<std::convert::Infallible>(term, config, &mut |_| Ok(()));
-    debug_assert!(interrupted.is_none());
-    result
-}
-
-/// Like [`lower_bound`], but calls `check(work)` periodically — inside the
-/// symbolic exploration and between per-path volume computations — and stops
-/// early with its error when it fails.
-///
-/// The returned result then carries `interrupted: true` together with the
-/// **sound partial bound** accumulated so far: every terminating path found
-/// before the interruption certifies its probability mass (Thm. 3.4), so a
-/// deadline-bounded caller still gets a nonzero monotone lower bound instead
-/// of nothing. Volumes are measured *incrementally, inside the exploration
-/// loop*, the instant each path terminates — there is no deadline-blind
-/// post-hoc measurement phase, and even the non-affine box sweep is
-/// interruptible mid-flight (its partial sum stays counted). The bound
-/// therefore tightens monotonically in real time and the engine can stop
-/// within one check interval of any step.
-pub fn try_lower_bound<E>(
-    term: &Term,
-    config: &LowerBoundConfig,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (LowerBoundResult, Option<E>) {
-    let (result, _, _, interruption) = try_lower_bound_measured(term, config, check);
-    (result, interruption)
-}
-
-/// The full-fidelity variant of [`try_lower_bound`]: additionally returns the
-/// underlying [`Exploration`] (terminated paths, stuck tally, abandoned
-/// frontier) and one [`PathMeasure`] per terminated path, aligned
-/// index-for-index with `Exploration::terminated`.
-///
-/// This is the single measuring loop both the lower-bound engine and the
-/// provenance layer run on, which is what makes the provenance artifact's
-/// per-path volumes sum *exactly* (rational arithmetic, no float drift) to
-/// [`LowerBoundResult::probability`] — they are the same numbers.
-pub fn try_lower_bound_measured<E>(
-    term: &Term,
-    config: &LowerBoundConfig,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (LowerBoundResult, Exploration, Vec<PathMeasure>, Option<E>) {
-    let (result, _, exploration, measures, interruption) =
-        run_accumulated(term, config, None, check);
-    (result, exploration, measures, interruption)
+    run_accumulated(term, config, None, &mut || false).0
 }
 
 /// A paused lower-bound computation, complete enough to *resume*: the mass
@@ -283,154 +238,126 @@ pub struct LowerBoundCheckpoint {
     pub frontier: Vec<ReplaySeed>,
 }
 
-/// Like [`try_lower_bound`], but resumable: pass `resume = Some(checkpoint)`
-/// to continue a previously interrupted computation from its saved frontier
-/// instead of recomputing from scratch. Returns the (cumulative) result, a
-/// fresh checkpoint for the *next* resume, and the interruption error if the
-/// cooperative check fired.
+/// Like [`lower_bound`], with every hook: `resume` and `stop`.
 ///
-/// The result's tallies are cumulative — they include the checkpointed
-/// mass — so callers can treat a resumed reply exactly like a from-scratch
-/// one. `max_paths` is a per-run safety valve and starts afresh each resume.
-pub fn try_lower_bound_resumable<E>(
+/// `stop()` is polled inside the symbolic exploration (once per path and
+/// every 256 machine steps) and every 64 boxes of a box sweep. When it
+/// returns `true` the result carries `interrupted: true` together with the
+/// **sound partial bound** accumulated so far: every terminating path found
+/// before the interruption certifies its probability mass (Thm. 3.4), so a
+/// deadline-bounded caller still gets a nonzero monotone lower bound instead
+/// of nothing. Volumes are measured *incrementally, inside the exploration
+/// loop*, the instant each path terminates — there is no deadline-blind
+/// post-hoc measurement phase, and even the non-affine box sweep is
+/// interruptible mid-flight (its partial sum stays counted). The bound
+/// therefore tightens monotonically in real time and the engine can stop
+/// within one poll interval of any step.
+///
+/// `resume = Some(checkpoint)` continues a previously interrupted
+/// computation from its saved frontier instead of recomputing from scratch.
+/// The returned checkpoint is the one to pass to the *next* resume. The
+/// result's tallies are cumulative — they include the checkpointed mass — so
+/// callers can treat a resumed reply exactly like a from-scratch one.
+/// `max_paths` is a per-run safety valve and starts afresh each resume.
+pub fn try_lower_bound(
     term: &Term,
     config: &LowerBoundConfig,
     resume: Option<&LowerBoundCheckpoint>,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (LowerBoundResult, LowerBoundCheckpoint, Option<E>) {
-    let (result, checkpoint, _, _, interruption) = run_accumulated(term, config, resume, check);
-    (result, checkpoint, interruption)
+    stop: &mut dyn FnMut() -> bool,
+) -> (LowerBoundResult, LowerBoundCheckpoint) {
+    let (result, exploration, _) = run_accumulated(term, config, resume, stop);
+    let checkpoint = LowerBoundCheckpoint {
+        probability: result.probability.clone(),
+        expected_steps: result.expected_steps.clone(),
+        paths: result.paths,
+        stuck_paths: result.stuck_paths,
+        frontier: frontier_seeds(&exploration.frontier),
+    };
+    (result, checkpoint)
 }
 
-/// The single engine core: seeded exploration with in-loop measurement,
-/// cumulative accounting, checkpoint construction.
-fn run_accumulated<E>(
+/// The single engine core: seeded exploration with in-loop measurement and
+/// cumulative accounting. Besides the result it returns the underlying
+/// [`Exploration`] and one [`PathMeasure`] per terminated path, aligned
+/// index-for-index with `Exploration::terminated` — which is what makes the
+/// provenance artifact's per-path volumes sum *exactly* (rational
+/// arithmetic, no float drift) to [`LowerBoundResult::probability`]: they
+/// are the same numbers.
+pub(crate) fn run_accumulated(
     term: &Term,
     config: &LowerBoundConfig,
     resume: Option<&LowerBoundCheckpoint>,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (LowerBoundResult, LowerBoundCheckpoint, Exploration, Vec<PathMeasure>, Option<E>) {
+    stop: &mut dyn FnMut() -> bool,
+) -> (LowerBoundResult, Exploration, Vec<PathMeasure>) {
     let start = Instant::now();
-    let seeds = resume.map(|c| c.frontier.as_slice());
-    // A resumed run's live bound starts from the checkpointed mass, so the
-    // streamed/inspected progress stays monotone across the resume chain.
-    let prior = resume.map_or((Rational::zero(), 0), |c| (c.probability.clone(), c.paths));
-    let (exploration, measures, interruption) = run_measured(term, config, seeds, prior, check);
+    let boxes_per_path = config.boxes_per_path;
+    let progress = config.progress.as_deref();
+    // Live-bound accumulator: floats here only feed the progress display
+    // (the result itself stays exact rational); the cell's fixed-point
+    // ratchet keeps the published bound monotone regardless of drift. A
+    // resumed run starts from the checkpointed mass, so the streamed and
+    // inspected progress stays monotone across the resume chain.
+    let mut live_bound = resume.map_or(0.0, |c| c.probability.to_f64());
+    let mut live_paths = resume.map_or(0, |c| c.paths as u64);
+    if let Some(cell) = progress {
+        cell.publish_terminated(live_paths, live_bound);
+    }
+    // Every terminating path is measured the moment it terminates (exact
+    // polytope volume when affine, interruptible box sweep otherwise), so
+    // `measures` stays aligned with `exploration.terminated` — even across
+    // interruptions.
+    let mut measures: Vec<PathMeasure> = Vec::new();
+    let exploration = try_explore_seeded_progress(
+        term,
+        &config.exploration(),
+        resume.map(|c| c.frontier.as_slice()),
+        progress,
+        stop,
+        &mut |path, stop| {
+            let (measure, stopped) = match path.exact_probability() {
+                Some(volume) => (PathMeasure { volume, method: VolumeMethod::Exact }, false),
+                None => {
+                    // An interrupted sweep keeps its partial sum: boxes
+                    // already proven inside the region are sound mass.
+                    let (volume, stopped) = path.try_box_lower_bound(boxes_per_path, stop);
+                    let method = VolumeMethod::BoxSweep { max_boxes: boxes_per_path };
+                    (PathMeasure { volume, method }, stopped)
+                }
+            };
+            if let Some(cell) = progress {
+                live_bound += measure.volume.to_f64();
+                live_paths += 1;
+                cell.publish_terminated(live_paths, live_bound);
+            }
+            measures.push(measure);
+            stopped
+        },
+    );
     let mut probability = Rational::zero();
     let mut expected_steps = Rational::zero();
-    let mut measured = 0usize;
-    let mut unmeasured = 0usize;
     for (path, measure) in exploration.terminated.iter().zip(&measures) {
-        if measure.method == VolumeMethod::Unmeasured {
-            unmeasured += 1;
-            continue;
-        }
         expected_steps += &measure.volume * &Rational::from_int(path.steps as i64);
         probability += measure.volume.clone();
-        measured += 1;
     }
+    let mut paths = measures.len();
     let mut stuck = exploration.stuck;
     if let Some(prior) = resume {
         probability += prior.probability.clone();
         expected_steps += prior.expected_steps.clone();
-        measured += prior.paths;
+        paths += prior.paths;
         stuck += prior.stuck_paths;
     }
-    let checkpoint = LowerBoundCheckpoint {
-        probability: probability.clone(),
-        expected_steps: expected_steps.clone(),
-        paths: measured,
-        stuck_paths: stuck,
-        frontier: frontier_seeds(&exploration.frontier),
-    };
     let result = LowerBoundResult {
         probability,
         expected_steps,
-        paths: measured,
-        unexplored_paths: exploration.out_of_fuel + unmeasured,
+        paths,
+        unexplored_paths: exploration.out_of_fuel,
         stuck_paths: stuck,
-        interrupted: exploration.interrupted || interruption.is_some(),
+        interrupted: exploration.interrupted,
         elapsed: start.elapsed(),
         profile: exploration.profile.clone(),
     };
-    (result, checkpoint, exploration, measures, interruption)
-}
-
-/// Seeded exploration with the measuring hook folded into the explore loop:
-/// every terminating path is measured the moment it terminates (exact
-/// polytope volume when affine, interruptible box sweep otherwise), so
-/// `measures` is always aligned index-for-index with
-/// `exploration.terminated` — even across interruptions.
-fn run_measured<E>(
-    term: &Term,
-    config: &LowerBoundConfig,
-    seeds: Option<&[ReplaySeed]>,
-    prior: (Rational, usize),
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (Exploration, Vec<PathMeasure>, Option<E>) {
-    let boxes_per_path = config.boxes_per_path;
-    let progress = config.progress.as_deref();
-    let mut measures: Vec<PathMeasure> = Vec::new();
-    let (prior_mass, prior_paths) = prior;
-    // Live-bound accumulator: floats here only feed the progress display
-    // (the result itself stays exact rational); the cell's fixed-point
-    // ratchet keeps the published bound monotone regardless of drift.
-    let mut live_bound = prior_mass.to_f64();
-    let mut live_paths = prior_paths as u64;
-    if let Some(cell) = progress {
-        cell.publish_terminated(live_paths, live_bound);
-    }
-    let (exploration, interruption) = {
-        let measures = &mut measures;
-        let mut on_terminated = move |path: &SymbolicPath,
-                                      check: &mut dyn FnMut(usize) -> Result<(), E>|
-              -> Result<(), E> {
-            let outcome = match path.exact_probability() {
-                Some(volume) => {
-                    measures.push(PathMeasure { volume, method: VolumeMethod::Exact });
-                    Ok(())
-                }
-                None => {
-                    // An interrupted sweep keeps its partial sum: boxes
-                    // already proven inside the region are sound mass.
-                    let (volume, failed) = path.try_box_lower_bound(boxes_per_path, check);
-                    measures.push(PathMeasure {
-                        volume,
-                        method: VolumeMethod::BoxSweep { max_boxes: boxes_per_path },
-                    });
-                    match failed {
-                        Some(e) => Err(e),
-                        None => Ok(()),
-                    }
-                }
-            };
-            if let Some(cell) = progress {
-                live_bound += measures.last().expect("just pushed").volume.to_f64();
-                live_paths += 1;
-                cell.publish_terminated(live_paths, live_bound);
-            }
-            outcome
-        };
-        try_explore_seeded_progress(
-            term,
-            &config.exploration(),
-            seeds,
-            progress,
-            check,
-            &mut on_terminated,
-        )
-    };
-    (exploration, measures, interruption)
-}
-
-/// Computes lower bounds at several increasing depths, demonstrating the
-/// anytime nature of the procedure (each bound is sound, and they are
-/// monotonically non-decreasing in the depth).
-pub fn lower_bound_profile(term: &Term, depths: &[usize]) -> Vec<(usize, LowerBoundResult)> {
-    depths
-        .iter()
-        .map(|d| (*d, lower_bound(term, &LowerBoundConfig::default().with_depth(*d))))
-        .collect()
+    (result, exploration, measures)
 }
 
 #[cfg(test)]
@@ -438,6 +365,18 @@ mod tests {
     use super::*;
     use probterm_spcf::catalog;
     use probterm_spcf::parse_term;
+
+    /// A stop hook that lets `budget` polls pass and stops at the next one.
+    fn stop_after(mut budget: usize) -> impl FnMut() -> bool {
+        move || {
+            if budget == 0 {
+                true
+            } else {
+                budget -= 1;
+                false
+            }
+        }
+    }
 
     fn lb(src: &str, depth: usize) -> LowerBoundResult {
         let term = parse_term(src).unwrap();
@@ -529,10 +468,13 @@ mod tests {
     #[test]
     fn profile_is_monotone_in_depth() {
         let term = parse_term("(fix phi x. if sample <= 1/3 then x else phi (x + 1)) 0").unwrap();
-        let profile = lower_bound_profile(&term, &[20, 60, 120]);
+        let profile: Vec<LowerBoundResult> = [20, 60, 120]
+            .iter()
+            .map(|&d| lower_bound(&term, &LowerBoundConfig::default().with_depth(d)))
+            .collect();
         assert_eq!(profile.len(), 3);
-        assert!(profile[0].1.probability <= profile[1].1.probability);
-        assert!(profile[1].1.probability <= profile[2].1.probability);
+        assert!(profile[0].probability <= profile[1].probability);
+        assert!(profile[1].probability <= profile[2].probability);
     }
 
     #[test]
@@ -548,16 +490,7 @@ mod tests {
         let config = LowerBoundConfig::default().with_depth(300);
         let full = lower_bound(&geo, &config);
         // Cancel after a small fixed amount of exploration work.
-        let mut budget = 8usize;
-        let (partial, err) = try_lower_bound(&geo, &config, &mut |_| {
-            if budget == 0 {
-                Err("deadline exceeded")
-            } else {
-                budget -= 1;
-                Ok(())
-            }
-        });
-        assert_eq!(err, Some("deadline exceeded"));
+        let (partial, _) = try_lower_bound(&geo, &config, None, &mut stop_after(8));
         assert!(partial.interrupted);
         assert!(partial.probability > Rational::zero(), "partial bound must be nonzero");
         // Every path that terminated before the cutoff is affine here, so the
@@ -580,26 +513,11 @@ mod tests {
         let config = LowerBoundConfig::default().with_depth(200).with_profile(true);
         let full = lower_bound(&geo, &config);
         // Interrupt early, then resume to completion from the checkpoint.
-        let mut budget = 10usize;
-        let (partial, checkpoint, err) = try_lower_bound_resumable(&geo, &config, None, &mut |_| {
-            if budget == 0 {
-                Err("deadline exceeded")
-            } else {
-                budget -= 1;
-                Ok(())
-            }
-        });
-        assert_eq!(err, Some("deadline exceeded"));
+        let (partial, checkpoint) = try_lower_bound(&geo, &config, None, &mut stop_after(10));
         assert!(partial.interrupted);
         assert!(!checkpoint.frontier.is_empty(), "interrupted run must leave a frontier");
         assert_eq!(checkpoint.probability, partial.probability);
-        let (resumed, done, err2) = try_lower_bound_resumable::<std::convert::Infallible>(
-            &geo,
-            &config,
-            Some(&checkpoint),
-            &mut |_| Ok(()),
-        );
-        assert!(err2.is_none());
+        let (resumed, done) = try_lower_bound(&geo, &config, Some(&checkpoint), &mut || false);
         assert!(!resumed.interrupted);
         // What is left to resume is exactly what a from-scratch run leaves:
         // the fuel-exhausted leaves at depth 200 (geo never fully explores).
@@ -630,19 +548,11 @@ mod tests {
         // are re-tallied directly and the result matches the original run.
         let geo = parse_term("(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0").unwrap();
         let config = LowerBoundConfig::default().with_depth(40).with_profile(true);
-        let (first, checkpoint, err) =
-            try_lower_bound_resumable::<std::convert::Infallible>(&geo, &config, None, &mut |_| {
-                Ok(())
-            });
-        assert!(err.is_none());
+        let (first, checkpoint) = try_lower_bound(&geo, &config, None, &mut || false);
+        assert!(!first.interrupted);
         assert!(!checkpoint.frontier.is_empty(), "depth 40 leaves out-of-fuel paths");
-        let (again, checkpoint2, err2) = try_lower_bound_resumable::<std::convert::Infallible>(
-            &geo,
-            &config,
-            Some(&checkpoint),
-            &mut |_| Ok(()),
-        );
-        assert!(err2.is_none());
+        let (again, checkpoint2) = try_lower_bound(&geo, &config, Some(&checkpoint), &mut || false);
+        assert!(!again.interrupted);
         // No new mass at the same depth; the frontier survives verbatim.
         assert_eq!(again.probability, first.probability);
         assert_eq!(checkpoint2.frontier, checkpoint.frontier);

@@ -9,7 +9,7 @@
 //!
 //! Attribution is *by construction* exact: the provenance layer runs the same
 //! measuring loop as the lower-bound engine
-//! ([`crate::try_lower_bound_measured`]), so the per-path volumes are the very
+//! ([`crate::try_lower_bound`]), so the per-path volumes are the very
 //! rationals whose sum is [`LowerBoundResult::probability`] — the soundness
 //! suite asserts `Rational` equality, not float closeness.
 //!
@@ -20,9 +20,7 @@
 //! path whose witness replays to termination is a machine-checked claim, not
 //! just a symbolic one.
 
-use crate::lowerbound::{
-    try_lower_bound_measured, LowerBoundConfig, LowerBoundResult, VolumeMethod,
-};
+use crate::lowerbound::{run_accumulated, LowerBoundConfig, LowerBoundResult, VolumeMethod};
 use crate::symbolic::{Branch, FrontierPath, SymConstraint, SymValue, SymbolicPath};
 use probterm_numerics::Rational;
 use probterm_spcf::{terminates_on_trace, FixedTrace, Strategy, Term};
@@ -87,7 +85,7 @@ pub struct FrontierSummary {
     pub paused: usize,
     /// Number of stuck paths (score failures, domain errors).
     pub stuck: usize,
-    /// `true` when the run was cancelled by a cooperative check (deadline).
+    /// `true` when the run was cancelled by its stop hook (deadline).
     pub interrupted: bool,
     /// `true` iff the exploration ran to completion: no abandoned paths and
     /// no interruption. A complete run accounts for every non-stuck path,
@@ -136,29 +134,25 @@ impl Provenance {
 /// Computes the provenance of a lower-bound run under `config`; a concrete
 /// witness is synthesised and replayed for every terminating path.
 pub fn explain(term: &Term, config: &LowerBoundConfig) -> Provenance {
-    let (provenance, interrupted) =
-        try_explain::<std::convert::Infallible>(term, config, &mut |_| Ok(()));
-    debug_assert!(interrupted.is_none());
-    provenance
+    try_explain(term, config, &mut || false)
 }
 
-/// Like [`explain`], but threads the cooperative `check` through the
-/// underlying exploration and measuring loop, so a deadline-bounded caller
-/// (the analysis service) receives the provenance of a sound *partial* bound:
-/// the artifact then has `frontier.interrupted` set and positive
-/// `unaccounted_mass`.
+/// Like [`explain`], but polls the stop hook `stop` (`true` means stop)
+/// through the underlying exploration and measuring loop, so a
+/// deadline-bounded caller (the analysis service) receives the provenance of
+/// a sound *partial* bound: the artifact then has `result.interrupted` and
+/// `frontier.interrupted` set and positive `unaccounted_mass`.
 ///
 /// Witness synthesis runs after the interruption (its cost is bounded by
 /// the per-path box budget times the path count); interrupted runs use a
 /// tightly capped box budget.
-pub fn try_explain<E>(
+pub fn try_explain(
     term: &Term,
     config: &LowerBoundConfig,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (Provenance, Option<E>) {
-    let (result, exploration, measures, interruption) =
-        try_lower_bound_measured(term, config, check);
-    let witness_boxes = if interruption.is_some() {
+    stop: &mut dyn FnMut() -> bool,
+) -> Provenance {
+    let (result, exploration, measures) = run_accumulated(term, config, None, stop);
+    let witness_boxes = if result.interrupted {
         INTERRUPTED_WITNESS_BOXES
     } else {
         WITNESS_BOXES
@@ -205,13 +199,12 @@ pub fn try_explain<E>(
         attributed_mass: attributed,
     };
 
-    let provenance = Provenance {
+    Provenance {
         result,
         paths,
         frontier_paths: exploration.frontier,
         frontier,
-    };
-    (provenance, interruption)
+    }
 }
 
 /// Synthesises and replays a witness for one terminating path: searches the
@@ -322,15 +315,15 @@ mod tests {
             parse_term("(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0").unwrap();
         let config = LowerBoundConfig::default().with_depth(300);
         let mut budget = 8usize;
-        let (partial, err) = try_explain(&term, &config, &mut |_| {
+        let partial = try_explain(&term, &config, &mut || {
             if budget == 0 {
-                Err("deadline exceeded")
+                true
             } else {
                 budget -= 1;
-                Ok(())
+                false
             }
         });
-        assert_eq!(err, Some("deadline exceeded"));
+        assert!(partial.result.interrupted);
         assert!(partial.frontier.interrupted);
         assert!(!partial.frontier.complete);
         assert!(partial.result.probability > Rational::zero());

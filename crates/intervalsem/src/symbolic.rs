@@ -28,10 +28,14 @@
 //!
 //! # Interruption
 //!
-//! [`try_explore`] threads a cooperative check through the exploration loop,
-//! so a caller (the analysis service enforcing `deadline_ms`) can cancel
-//! *mid-exploration* and still receive every path terminated so far — a
-//! sound, monotonically improvable partial result by Theorem 3.4.
+//! The explorer polls one stop hook, `&mut dyn FnMut() -> bool` (`true`
+//! means stop), once per path and every 256 machine steps within a path. The
+//! public entry points that carry it are
+//! [`try_lower_bound`](crate::try_lower_bound) and
+//! [`try_explain`](crate::try_explain): a caller (the analysis service
+//! enforcing `deadline_ms`) can cancel *mid-exploration* and still receive
+//! every path terminated so far — a sound, monotonically improvable partial
+//! result by Theorem 3.4.
 
 use probterm_numerics::{Interval, IntervalBox, Rational};
 use probterm_polytope::UnitCubePolytope;
@@ -402,21 +406,20 @@ impl SymbolicPath {
     /// splitting with interval arithmetic — the "sweep" of §7.1. Works for
     /// arbitrary (non-linear) constraints; `max_boxes` bounds the work.
     pub fn box_lower_bound(&self, max_boxes: usize) -> Rational {
-        self.try_box_lower_bound::<std::convert::Infallible>(max_boxes, &mut |_| Ok(()))
-            .0
+        self.try_box_lower_bound(max_boxes, &mut || false).0
     }
 
-    /// Interruptible [`SymbolicPath::box_lower_bound`]: `check(work)` runs
-    /// periodically during the sweep and, when it fails, the partial sum
-    /// accumulated so far is returned together with the error. Boxes already
+    /// Interruptible [`SymbolicPath::box_lower_bound`]: `stop()` is polled
+    /// every 64 boxes and, when it returns `true`, the partial sum
+    /// accumulated so far is returned together with `true`. Boxes already
     /// proven inside the region stay counted — a truncated sweep is still a
     /// sound lower bound, just a looser one, so deadline-bounded measurement
     /// never has to discard work.
-    pub fn try_box_lower_bound<E>(
+    pub fn try_box_lower_bound(
         &self,
         max_boxes: usize,
-        check: &mut dyn FnMut(usize) -> Result<(), E>,
-    ) -> (Rational, Option<E>) {
+        stop: &mut dyn FnMut() -> bool,
+    ) -> (Rational, bool) {
         let mut total = Rational::zero();
         let mut queue: VecDeque<IntervalBox> = VecDeque::new();
         queue.push_back(IntervalBox::unit(self.sample_count));
@@ -426,10 +429,8 @@ impl SymbolicPath {
             if processed > max_boxes {
                 break;
             }
-            if processed % 64 == 0 {
-                if let Err(e) = check(processed) {
-                    return (total, Some(e));
-                }
+            if processed % 64 == 0 && stop() {
+                return (total, true);
             }
             let mut all_hold = true;
             let mut any_fail = false;
@@ -458,7 +459,7 @@ impl SymbolicPath {
                 None => continue,
             }
         }
-        (total, None)
+        (total, false)
     }
 
     /// Probability of the path region: exact for linear constraint systems,
@@ -646,10 +647,11 @@ pub struct Exploration {
     pub frontier: Vec<FrontierPath>,
     /// Number of paths that got stuck.
     pub stuck: usize,
-    /// `true` when the exploration was cancelled by the cooperative check of
-    /// [`try_explore`]. The `terminated` paths collected up to that point are
-    /// still sound (Theorem 3.4): interruption only loses bound mass, never
-    /// adds unsound mass.
+    /// `true` when the exploration was cancelled by the stop hook of
+    /// [`try_lower_bound`](crate::try_lower_bound) or
+    /// [`try_explain`](crate::try_explain). The `terminated` paths collected
+    /// up to that point are still sound (Theorem 3.4): interruption only
+    /// loses bound mass, never adds unsound mass.
     pub interrupted: bool,
     /// Machine profile of the run (steps, event kinds, forks, max BFS
     /// frontier), present iff [`ExplorationConfig::profile`] was set. The
@@ -814,29 +816,10 @@ impl PathState<'_> {
 /// Explores the CbN symbolic execution tree of a closed term breadth-first,
 /// collecting every path that reaches a value within the budget.
 pub fn explore(term: &Term, config: &ExplorationConfig) -> Exploration {
-    let (exploration, interrupted) =
-        try_explore::<std::convert::Infallible>(term, config, &mut |_| Ok(()));
-    debug_assert!(interrupted.is_none());
-    exploration
+    try_explore_seeded_progress(term, config, None, None, &mut || false, &mut |_, _| false)
 }
 
-/// Like [`explore`], but calls `check(work)` with a monotone work counter —
-/// once before each path and periodically *within* long paths — and stops
-/// early with its error when it fails.
-///
-/// The returned [`Exploration`] contains every path that terminated before
-/// the interruption (a sound partial result); abandoned paths are tallied in
-/// `out_of_fuel` and `interrupted` is set. This is the hook through which the
-/// analysis service enforces per-request deadlines mid-exploration.
-pub fn try_explore<E>(
-    term: &Term,
-    config: &ExplorationConfig,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-) -> (Exploration, Option<E>) {
-    try_explore_seeded_progress(term, config, None, None, check, &mut |_, _| Ok(()))
-}
-
-/// The resumable, incrementally-measuring variant of [`try_explore`].
+/// The explorer behind [`explore`] and the lower-bound engine.
 ///
 /// * `seeds` — `None` starts a fresh exploration from the root;
 ///   `Some(seeds)` *resumes* a checkpointed one: each seed is replayed
@@ -846,37 +829,32 @@ pub fn try_explore<E>(
 ///   with the checkpointed run's tallies reproduces a from-scratch run —
 ///   terminated paths partition identically, and no measured path is ever
 ///   re-explored.
+/// * `progress` — when set, live progress (work counter, frontier size,
+///   current path depth) is published into it at the stop-hook poll points
+///   — once per path plus every 256 work units within long paths. When
+///   `None` the cost is a single `Option` discriminant check per poll point;
+///   the overhead guard in `crates/bench` holds the disabled path to within
+///   5% of baseline.
+/// * `stop` — polled at the same points; returning `true` abandons the path
+///   in flight and the queue to the frontier and sets `interrupted`. Every
+///   path terminated so far stays in the (sound, partial) result.
 /// * `on_terminated` — called with every path the instant it terminates,
 ///   *before* exploration continues, so callers can measure path volumes
-///   incrementally instead of post-hoc. It receives the cooperative check
-///   as its second argument (for deadline-aware measurement); returning an
-///   error interrupts the exploration exactly like a failing `check`: the
-///   queue drains to the frontier and the partial result stays sound.
-/// * `progress` — when set, live progress (work counter, frontier size,
-///   current path depth) is published into it at the existing
-///   cooperative-check poll points — once per path plus every 256 work units
-///   within long paths. When `None` the cost is a single `Option`
-///   discriminant check per poll point; the overhead guard in
-///   `crates/bench` holds the disabled path to within 5% of baseline.
-///
-/// With `seeds = None`, no progress cell and a no-op hook this is exactly
-/// [`try_explore`] — the differential suite's guarantee carries over
-/// unchanged.
+///   incrementally instead of post-hoc. It receives `stop` as its second
+///   argument (for deadline-aware measurement); returning `true` interrupts
+///   the exploration exactly like `stop` does.
 ///
 /// Terminated-path counts and the monotone bound are published by the
-/// *measuring* caller ([`try_lower_bound`](crate::try_lower_bound) and
-/// friends), which alone knows path volumes.
-pub fn try_explore_seeded_progress<'t, E>(
+/// *measuring* caller ([`try_lower_bound`](crate::try_lower_bound)), which
+/// alone knows path volumes.
+pub(crate) fn try_explore_seeded_progress<'t>(
     term: &'t Term,
     config: &ExplorationConfig,
     seeds: Option<&[ReplaySeed]>,
     progress: Option<&ProgressCell>,
-    check: &mut dyn FnMut(usize) -> Result<(), E>,
-    on_terminated: &mut dyn FnMut(
-        &SymbolicPath,
-        &mut dyn FnMut(usize) -> Result<(), E>,
-    ) -> Result<(), E>,
-) -> (Exploration, Option<E>) {
+    stop: &mut dyn FnMut() -> bool,
+    on_terminated: &mut dyn FnMut(&SymbolicPath, &mut dyn FnMut() -> bool) -> bool,
+) -> Exploration {
     let profile = config.profile.then(ProfileCell::shared);
     let new_machine = |oracle: VecDeque<Branch>| {
         let mut machine = Machine::new(sym_spec(), term, config.max_steps_per_path);
@@ -922,25 +900,22 @@ pub fn try_explore_seeded_progress<'t, E>(
     }
     let mut processed = 0usize;
     let mut work = 0usize;
-    let mut interruption: Option<E> = None;
+    // The path in flight when the path budget or `stop` cut the exploration
+    // short; it joins the frontier ahead of the queue.
+    let mut cut: Option<PathState<'_>> = None;
     'exploration: while let Some(mut path) = queue.pop_front() {
         processed += 1;
         if processed > config.max_paths {
-            result.out_of_fuel += 1 + queue.len();
-            result.frontier.push(path.into_frontier());
-            result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
+            cut = Some(path);
             break;
         }
         if let Some(cell) = progress {
             cell.publish_exploration(work as u64, queue.len() as u64, path.machine.steps() as u64);
         }
-        if let Err(e) = check(work) {
+        if stop() {
             result.interrupted = true;
-            result.out_of_fuel += 1 + queue.len();
-            result.frontier.push(path.into_frontier());
-            result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
-            result.profile = profile.as_ref().map(|cell| cell.snapshot());
-            return (result, Some(e));
+            cut = Some(path);
+            break;
         }
         loop {
             work += 1;
@@ -952,12 +927,9 @@ pub fn try_explore_seeded_progress<'t, E>(
                         path.machine.steps() as u64,
                     );
                 }
-                if let Err(e) = check(work) {
+                if stop() {
                     result.interrupted = true;
-                    result.out_of_fuel += 1 + queue.len();
-                    result.frontier.push(path.into_frontier());
-                    result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
-                    interruption = Some(e);
+                    cut = Some(path);
                     break 'exploration;
                 }
             }
@@ -970,13 +942,10 @@ pub fn try_explore_seeded_progress<'t, E>(
                         steps: path.machine.steps(),
                         result: value.into_lit(),
                     };
-                    let hooked = on_terminated(&terminated, check);
+                    let stopped = on_terminated(&terminated, stop);
                     result.terminated.push(terminated);
-                    if let Err(e) = hooked {
+                    if stopped {
                         result.interrupted = true;
-                        result.out_of_fuel += queue.len();
-                        result.frontier.extend(queue.drain(..).map(PathState::into_frontier));
-                        interruption = Some(e);
                         break 'exploration;
                     }
                     break;
@@ -1083,8 +1052,12 @@ pub fn try_explore_seeded_progress<'t, E>(
             }
         }
     }
+    for abandoned in cut.into_iter().chain(queue.drain(..)) {
+        result.out_of_fuel += 1;
+        result.frontier.push(abandoned.into_frontier());
+    }
     result.profile = profile.as_ref().map(|cell| cell.snapshot());
-    (result, interruption)
+    result
 }
 
 // --------------------------------------------------------------- reference
@@ -1493,26 +1466,32 @@ mod tests {
         let config = ExplorationConfig::default().with_max_steps_per_path(150);
         let full = explore(&term, &config);
         let mut budget = 6usize;
-        let (first, err) = try_explore(&term, &config, &mut |_| {
-            if budget == 0 {
-                Err(())
-            } else {
-                budget -= 1;
-                Ok(())
-            }
-        });
-        assert!(err.is_some());
+        let first = try_explore_seeded_progress(
+            &term,
+            &config,
+            None,
+            None,
+            &mut || {
+                if budget == 0 {
+                    true
+                } else {
+                    budget -= 1;
+                    false
+                }
+            },
+            &mut |_, _| false,
+        );
         assert!(first.interrupted && !first.frontier.is_empty());
         let seeds = frontier_seeds(&first.frontier);
-        let (second, err2) = try_explore_seeded_progress::<()>(
+        let second = try_explore_seeded_progress(
             &term,
             &config,
             Some(&seeds),
             None,
-            &mut |_| Ok(()),
-            &mut |_, _| Ok(()),
+            &mut || false,
+            &mut |_, _| false,
         );
-        assert!(err2.is_none());
+        assert!(!second.interrupted);
         let key = |p: &&SymbolicPath| -> Vec<bool> {
             p.branches.iter().map(|b| matches!(b, Branch::Else)).collect()
         };
@@ -1665,15 +1644,21 @@ mod tests {
         let config = ExplorationConfig::default().with_max_steps_per_path(400);
         // Interrupt after a couple of terminated paths' worth of work.
         let mut budget = 6usize;
-        let (partial, err) = try_explore(&term, &config, &mut |_work| {
-            if budget == 0 {
-                Err("deadline")
-            } else {
-                budget -= 1;
-                Ok(())
-            }
-        });
-        assert_eq!(err, Some("deadline"));
+        let partial = try_explore_seeded_progress(
+            &term,
+            &config,
+            None,
+            None,
+            &mut || {
+                if budget == 0 {
+                    true
+                } else {
+                    budget -= 1;
+                    false
+                }
+            },
+            &mut |_, _| false,
+        );
         assert!(partial.interrupted);
         let full = explore(&term, &config);
         assert!(!full.interrupted);

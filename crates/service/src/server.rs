@@ -85,14 +85,14 @@ use crate::protocol::{
 use probterm_telemetry::{Gauge, ProgressCell, ProgressSnapshot, SpanTimer, TraceSink};
 use probterm_core::astver::{try_verify_ast, VerifyError};
 use probterm_core::intervalsem::{
-    try_explain, try_lower_bound_resumable, LowerBoundCheckpoint, LowerBoundConfig,
+    try_explain, try_lower_bound, LowerBoundCheckpoint, LowerBoundConfig,
     LowerBoundResult, ReplaySeed,
 };
 use probterm_core::numerics::Rational;
 use probterm_core::spcf::{
     catalog, parse_term, try_estimate_termination, MonteCarloConfig, Strategy, Term,
 };
-use probterm_core::{try_analyze_budgeted, AnalysisConfig};
+use probterm_core::{try_analyze, AnalysisConfig};
 use serde::Value;
 use std::collections::HashMap;
 use std::fs;
@@ -1395,8 +1395,8 @@ fn strategy_str(strategy: Strategy) -> &'static str {
     }
 }
 
-/// Monte-Carlo estimation via the library estimator, with cooperative
-/// deadline checks between chunks of runs.
+/// Monte-Carlo estimation via the library estimator, which polls the budget
+/// between chunks of 32 runs.
 ///
 /// This is [`probterm_core::spcf::try_estimate_termination`] — the very loop
 /// behind [`probterm_core::spcf::estimate_termination`] — so the reply
@@ -1409,15 +1409,9 @@ fn simulate_payload(
     strategy: Strategy,
     budget: &RunBudget,
 ) -> Result<Value, ServiceError> {
-    const CHUNK: usize = 32;
-    let config = MonteCarloConfig { runs, max_steps, seed, strategy };
-    let estimate = try_estimate_termination(term, &config, |i| {
-        if i % CHUNK == 0 {
-            budget.check(&format!("after {i}/{runs} Monte-Carlo runs"))
-        } else {
-            Ok(())
-        }
-    })?;
+    let config = MonteCarloConfig { runs, max_steps, seed, strategy, profile: false };
+    let estimate = try_estimate_termination(term, &config, &mut || budget.exceeded())
+        .map_err(|i| budget.error(&format!("after {i}/{runs} Monte-Carlo runs")))?;
     Ok(Value::Object(vec![
         ("runs".into(), Value::UInt(estimate.runs as u128)),
         ("terminated".into(), Value::UInt(estimate.terminated as u128)),
@@ -1616,14 +1610,13 @@ fn lower_payload(
     let config = LowerBoundConfig::default()
         .with_depth(depth)
         .with_progress(Arc::clone(progress));
-    let mut check = |_work: usize| {
+    let mut stop = || {
         if let Some(stream) = stream {
             stream.maybe_emit();
         }
-        budget.check("during symbolic exploration")
+        budget.exceeded()
     };
-    let (result, checkpoint, _interruption) =
-        try_lower_bound_resumable(term, &config, resume.map(|(c, _)| c), &mut check);
+    let (result, checkpoint) = try_lower_bound(term, &config, resume.map(|(c, _)| c), &mut stop);
     Ok(lower_result_value(&result, depth, &checkpoint, resume))
 }
 
@@ -1674,8 +1667,7 @@ fn explain_payload(
 ) -> Result<Value, ServiceError> {
     budget.check("before the explain engine started")?;
     let config = LowerBoundConfig::default().with_depth(depth);
-    let mut check = |_work: usize| budget.check("during symbolic exploration");
-    let (provenance, _interruption) = try_explain(term, &config, &mut check);
+    let provenance = try_explain(term, &config, &mut || budget.exceeded());
     let engine_ms = provenance.result.elapsed.as_millis();
     let Value::Object(mut fields) =
         probterm_explain::render_json(&provenance, source, depth, top)
@@ -1695,8 +1687,7 @@ fn explain_payload(
 /// fires *mid-engine* instead of only before/after it.
 fn verify_payload(term: &Term, budget: &RunBudget) -> Result<Value, ServiceError> {
     budget.check("before the AST verifier started")?;
-    let mut check = || if budget.exceeded() { Err(()) } else { Ok(()) };
-    let v = try_verify_ast(term, &mut check).map_err(|e| match e {
+    let v = try_verify_ast(term, false, &mut || budget.exceeded()).map_err(|e| match e {
         VerifyError::Interrupted => budget.error("inside the AST verifier"),
         other => ServiceError::new(ErrorCode::NotApplicable, other.to_string()),
     })?;
@@ -1713,8 +1704,8 @@ fn verify_payload(term: &Term, budget: &RunBudget) -> Result<Value, ServiceError
 }
 
 /// The combined report. The pipeline itself lives in
-/// [`probterm_core::try_analyze_budgeted`] (shared with the CLI's `analyze`);
-/// the service merely threads the deadline in as the budget check and
+/// [`probterm_core::try_analyze`] (shared with the CLI's `analyze`);
+/// the service merely threads the deadline in as the stop hook and
 /// serializes the result. When the deadline strikes, the lower bound
 /// degrades to its sound partial value and the remaining stages (AST
 /// verification, Monte-Carlo cross-check) are skipped with an explanation,
@@ -1736,8 +1727,7 @@ fn analyze_payload(
         seed,
         profile: false,
     };
-    let mut check = || if budget.exceeded() { Err(()) } else { Ok(()) };
-    let analysis = try_analyze_budgeted(term, &config, &mut check)
+    let analysis = try_analyze(term, &config, &mut || budget.exceeded())
         .map_err(|e| ServiceError::new(ErrorCode::NotApplicable, e.to_string()))?;
     let engine_ms = engine_started.elapsed().as_millis();
     let report = &analysis.report;
@@ -2707,6 +2697,7 @@ mod tests {
                 max_steps: 400,
                 seed: 7,
                 strategy: Strategy::CallByName,
+                profile: false,
             },
         );
         assert_eq!(

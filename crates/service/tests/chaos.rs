@@ -4,7 +4,7 @@
 //! idle connections with a structured notice, and never corrupts the result
 //! cache — post-chaos replies still match direct library calls exactly.
 
-use probterm_core::analyze_lower_bound;
+use probterm_core::intervalsem::{lower_bound, LowerBoundConfig};
 use probterm_core::spcf::parse_term;
 use probterm_service::{InjectSpec, Server, ServerConfig};
 use serde::Value;
@@ -107,7 +107,10 @@ fn injected_panics_and_slowdowns_leave_structured_replies_and_a_clean_cache() {
         program(1)
     ));
     assert_eq!(reply.get("cache").and_then(Value::as_str), Some("hit"));
-    let direct = analyze_lower_bound(&parse_term(&program(1)).unwrap(), 25);
+    let direct = lower_bound(
+        &parse_term(&program(1)).unwrap(),
+        &LowerBoundConfig::default().with_depth(25),
+    );
     let served = reply
         .get("result")
         .and_then(|r| r.get("probability"))

@@ -6,7 +6,8 @@
 use probterm_core::spcf::{
     estimate_termination, parse_term, MonteCarloConfig, Strategy,
 };
-use probterm_core::{analyze_ast, analyze_lower_bound};
+use probterm_core::astver::verify_ast;
+use probterm_core::intervalsem::{lower_bound, LowerBoundConfig};
 use probterm_service::{Server, ServerConfig};
 use serde::Value;
 use std::io::{BufRead, BufReader, Write};
@@ -71,10 +72,13 @@ fn concurrent_mixed_requests_match_direct_library_calls() {
     // Ground truth, computed directly against the libraries.
     let direct_estimate = estimate_termination(
         &parse_term(GEO).unwrap(),
-        &MonteCarloConfig { runs: 300, max_steps: 500, seed: 11, strategy: Strategy::CallByValue },
+        &MonteCarloConfig { runs: 300, max_steps: 500, seed: 11, strategy: Strategy::CallByValue, ..Default::default() },
     );
-    let direct_lower = analyze_lower_bound(&parse_term(PRINTER_QUARTER).unwrap(), 35);
-    let direct_verify = analyze_ast(&parse_term(PRINTER_FAIR).unwrap()).unwrap();
+    let direct_lower = lower_bound(
+        &parse_term(PRINTER_QUARTER).unwrap(),
+        &LowerBoundConfig::default().with_depth(35),
+    );
+    let direct_verify = verify_ast(&parse_term(PRINTER_FAIR).unwrap()).unwrap();
 
     let handles: Vec<_> = (0..4)
         .map(|client_index| {

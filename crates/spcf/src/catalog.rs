@@ -313,6 +313,7 @@ mod tests {
             max_steps: 1_500,
             seed: 99,
             strategy: Strategy::CallByValue,
+            profile: false,
         };
         for b in [
             printer_nonaffine(Rational::from_ratio(1, 4)),
@@ -341,6 +342,7 @@ mod tests {
             max_steps: 20_000,
             seed: 3,
             strategy: Strategy::CallByValue,
+            profile: false,
         };
         for b in [
             pedestrian(),

@@ -63,8 +63,7 @@ pub use oracle::{
     branching_behaviour, oracle_string, run_with_oracle, Direction, Oracle, OracleRun,
 };
 pub use montecarlo::{
-    estimate_termination, estimate_termination_profiled, try_estimate_termination,
-    MonteCarloConfig, MonteCarloEstimate,
+    estimate_termination, try_estimate_termination, MonteCarloConfig, MonteCarloEstimate,
 };
 pub use parser::{parse_term, ParseError};
 pub use trace::{trace_len, FixedTrace, RandomSampler, Sampler, Trace};

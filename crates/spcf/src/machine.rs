@@ -244,19 +244,9 @@ pub struct RunSummary {
 /// `O(|residual term|)` pass, and the residual of a long run is a deep tree
 /// whose eventual (recursive) drop glue can even exhaust the stack. The
 /// summary path skips all of it; steps and samples are identical to
-/// [`run_machine`]'s.
+/// [`run_machine`]'s. Machine steps and events are tallied into `profile`
+/// when one is given (see `Machine::set_profile`).
 pub fn run_machine_summary(
-    strategy: Strategy,
-    term: &Term,
-    sampler: &mut dyn Sampler,
-    max_steps: usize,
-) -> RunSummary {
-    run_machine_summary_profiled(strategy, term, sampler, max_steps, None)
-}
-
-/// Like [`run_machine_summary`], tallying machine steps and events into
-/// `profile` when one is given (see `Machine::set_profile`).
-pub fn run_machine_summary_profiled(
     strategy: Strategy,
     term: &Term,
     sampler: &mut dyn Sampler,
@@ -385,7 +375,7 @@ mod tests {
         let term = parse_term("(fix phi x. phi x) 0").unwrap();
         for strategy in [Strategy::CallByName, Strategy::CallByValue] {
             let mut trace = FixedTrace::from_ratios(&[]);
-            let result = run_machine_summary(strategy, &term, &mut trace, 300_000);
+            let result = run_machine_summary(strategy, &term, &mut trace, 300_000, None);
             assert_eq!(result.outcome, SummaryOutcome::OutOfFuel);
             assert_eq!(result.steps, 300_000);
         }

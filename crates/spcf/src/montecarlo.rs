@@ -10,9 +10,9 @@
 
 use crate::ast::Term;
 use crate::eval::Strategy;
-use crate::machine::{run_machine_summary_profiled, SummaryOutcome};
+use crate::machine::{run_machine_summary, SummaryOutcome};
 use crate::trace::RandomSampler;
-use probterm_telemetry::{EngineProfile, ProfileCell, SharedProfile};
+use probterm_telemetry::{EngineProfile, ProfileCell};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,6 +27,9 @@ pub struct MonteCarloConfig {
     pub seed: u64,
     /// Evaluation strategy.
     pub strategy: Strategy,
+    /// When `true`, an aggregate machine profile (steps and event kinds
+    /// summed over every run) is reported in [`MonteCarloEstimate::profile`].
+    pub profile: bool,
 }
 
 impl Default for MonteCarloConfig {
@@ -36,6 +39,7 @@ impl Default for MonteCarloConfig {
             max_steps: 10_000,
             seed: 0xC0FFEE,
             strategy: Strategy::CallByName,
+            profile: false,
         }
     }
 }
@@ -55,6 +59,9 @@ pub struct MonteCarloEstimate {
     pub mean_steps: f64,
     /// Average number of samples consumed over terminating runs.
     pub mean_samples: f64,
+    /// Aggregate machine profile over every run, present iff
+    /// [`MonteCarloConfig::profile`] was set.
+    pub profile: Option<EngineProfile>,
 }
 
 impl MonteCarloEstimate {
@@ -101,70 +108,50 @@ impl MonteCarloEstimate {
 /// assert!(estimate.probability() > 0.95);
 /// ```
 pub fn estimate_termination(term: &Term, config: &MonteCarloConfig) -> MonteCarloEstimate {
-    match try_estimate_termination(term, config, |_| Ok::<(), std::convert::Infallible>(())) {
-        Ok(estimate) => estimate,
-        Err(never) => match never {},
-    }
+    try_estimate_termination(term, config, &mut || false)
+        .expect("a stop hook that never fires cannot interrupt")
 }
 
-/// Like [`estimate_termination`], but calls `check(i)` before run `i` and
-/// aborts with its error if it fails — the cooperative-interruption hook the
-/// analysis service uses to enforce per-request deadlines between runs.
+/// Runs between stop-hook polls.
+const POLL_EVERY: usize = 32;
+
+/// Like [`estimate_termination`], with the stop hook: `stop()` is polled
+/// before every 32nd run (runs 0, 32, 64, …) and, when it returns `true`,
+/// the estimation aborts — the cooperative-interruption hook the analysis
+/// service uses to enforce per-request deadlines between runs.
 ///
 /// Run `i` always draws from `StdRng::seed_from_u64(seed + i)`, so an
-/// uninterrupted call returns exactly what [`estimate_termination`] does
-/// (which is implemented on top of this with an infallible `check`).
+/// uninterrupted call returns exactly what [`estimate_termination`] does.
 ///
 /// # Errors
 ///
-/// Returns the first error produced by `check`, discarding the partial tally.
-pub fn try_estimate_termination<E>(
+/// Returns the number of runs completed when `stop` fired, discarding the
+/// partial tally.
+pub fn try_estimate_termination(
     term: &Term,
     config: &MonteCarloConfig,
-    check: impl FnMut(usize) -> Result<(), E>,
-) -> Result<MonteCarloEstimate, E> {
-    estimate_inner(term, config, check, None)
-}
-
-/// Like [`estimate_termination`], additionally tallying an aggregate machine
-/// profile (steps and event kinds summed over every run).
-pub fn estimate_termination_profiled(
-    term: &Term,
-    config: &MonteCarloConfig,
-) -> (MonteCarloEstimate, EngineProfile) {
-    let cell = ProfileCell::shared();
-    let estimate =
-        match estimate_inner(term, config, |_| Ok::<(), std::convert::Infallible>(()), Some(&cell))
-        {
-            Ok(estimate) => estimate,
-            Err(never) => match never {},
-        };
-    (estimate, cell.snapshot())
-}
-
-fn estimate_inner<E>(
-    term: &Term,
-    config: &MonteCarloConfig,
-    mut check: impl FnMut(usize) -> Result<(), E>,
-    profile: Option<&SharedProfile>,
-) -> Result<MonteCarloEstimate, E> {
+    stop: &mut dyn FnMut() -> bool,
+) -> Result<MonteCarloEstimate, usize> {
+    let profile = config.profile.then(ProfileCell::shared);
     let mut terminated = 0usize;
     let mut stuck = 0usize;
     let mut out_of_fuel = 0usize;
     let mut total_steps = 0usize;
     let mut total_samples = 0usize;
     for i in 0..config.runs {
-        check(i)?;
+        if i % POLL_EVERY == 0 && stop() {
+            return Err(i);
+        }
         let rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
         let mut sampler = RandomSampler::new(rng);
         // The summary entry point skips materialising result/residual terms
         // the estimator would discard (the dominant cost of truncated runs).
-        let result = run_machine_summary_profiled(
+        let result = run_machine_summary(
             config.strategy,
             term,
             &mut sampler,
             config.max_steps,
-            profile,
+            profile.as_ref(),
         );
         match result.outcome {
             SummaryOutcome::Terminated => {
@@ -184,6 +171,7 @@ fn estimate_inner<E>(
         out_of_fuel,
         mean_steps: total_steps as f64 / denom,
         mean_samples: total_samples as f64 / denom,
+        profile: profile.map(|cell| cell.snapshot()),
     })
 }
 
@@ -205,6 +193,7 @@ mod tests {
                 max_steps: 1_500,
                 seed: 7,
                 strategy,
+                profile: false,
             },
         )
     }
@@ -254,7 +243,13 @@ mod tests {
         let term = parse_term("0").unwrap();
         let e = estimate_termination(
             &term,
-            &MonteCarloConfig { runs: 0, max_steps: 10, seed: 1, strategy: Strategy::CallByName },
+            &MonteCarloConfig {
+                runs: 0,
+                max_steps: 10,
+                seed: 1,
+                strategy: Strategy::CallByName,
+                profile: false,
+            },
         );
         assert_eq!(e.probability(), 0.0);
         assert!(!e.probability().is_nan());
@@ -268,7 +263,13 @@ mod tests {
         let term = parse_term("1 + 1").unwrap();
         let e = estimate_termination(
             &term,
-            &MonteCarloConfig { runs: 100, max_steps: 10, seed: 1, strategy: Strategy::CallByName },
+            &MonteCarloConfig {
+                runs: 100,
+                max_steps: 10,
+                seed: 1,
+                strategy: Strategy::CallByName,
+                profile: false,
+            },
         );
         assert_eq!(e.probability(), 1.0);
         let half_width = e.confidence_99();
@@ -277,7 +278,13 @@ mod tests {
         // More runs must tighten the interval.
         let tighter = estimate_termination(
             &term,
-            &MonteCarloConfig { runs: 400, max_steps: 10, seed: 1, strategy: Strategy::CallByName },
+            &MonteCarloConfig {
+                runs: 400,
+                max_steps: 10,
+                seed: 1,
+                strategy: Strategy::CallByName,
+                profile: false,
+            },
         );
         assert!(tighter.confidence_99() < half_width);
     }

@@ -36,7 +36,8 @@ fn main() {
             seed: 2021,
             ..Default::default()
         },
-    );
+    )
+    .expect("the printer program is simply typed");
     println!("{report}");
 
     assert_eq!(report.ast_verified, Some(true), "the fair printer is AST");

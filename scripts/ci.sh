@@ -30,7 +30,9 @@ cargo test -q --offline -p probterm-intervalsem --test symbolic_differential || 
 
 # ---------------------------------------------------------------------------
 # CLI smoke test: `probterm lower` (complete and deadline-cut partial) and
-# `probterm verify` against known answers, each bounded by a timeout.
+# `probterm verify` against known answers, `probterm analyze` refusing an
+# ill-typed program, and `--profile` leaving `lower`/`verify`/`simulate`
+# stdout unchanged; each run bounded by a timeout.
 echo "== CLI smoke test =="
 cli_status=0
 if [ -x target/release/probterm ]; then
@@ -56,6 +58,39 @@ if [ -x target/release/probterm ]; then
         *"AST"*) echo "cli ok: verify ($verify_out)" ;;
         *) echo "cli FAILED: verify: $verify_out"; cli_status=1 ;;
     esac
+    # Ω diverges and is not simply typed: `analyze` must refuse it with a
+    # non-zero exit instead of certifying any `Pterm >=` bound.
+    omega_out=$(timeout 60 target/release/probterm analyze -e '(lam x. x x) (lam x. x x)' 2>&1)
+    omega_exit=$?
+    case "$omega_exit/$omega_out" in
+        0/*) echo "cli FAILED: analyze accepted an ill-typed program: $omega_out"; cli_status=1 ;;
+        *"Pterm >="*) echo "cli FAILED: analyze bounded an ill-typed program: $omega_out"; cli_status=1 ;;
+        *) echo "cli ok: analyze rejects an ill-typed program (exit $omega_exit: $omega_out)" ;;
+    esac
+    # Hooks only observe: `--profile` adds a `profile[<cmd>]` line on stderr
+    # and leaves stdout byte-identical, up to the wall-clock `N ms` field.
+    geo='(fix phi x. if sample <= 1/2 then x else phi (x + 1)) 0'
+    profile_err=$(mktemp /tmp/probterm-profile.XXXXXX)
+    for spec in "lower:--depth 25" "verify:" "simulate:--runs 300 --steps 2000"; do
+        cmd=${spec%%:*}
+        flags=${spec#*:}
+        # $flags is split into words on purpose.
+        plain=$(timeout 60 target/release/probterm "$cmd" -e "$geo" $flags 2>/dev/null |
+            sed -E 's/[0-9]+ ms/N ms/')
+        profiled=$(timeout 60 target/release/probterm "$cmd" -e "$geo" $flags --profile \
+            2>"$profile_err" | sed -E 's/[0-9]+ ms/N ms/')
+        if [ -n "$plain" ] && [ "$plain" = "$profiled" ] &&
+            grep -q "^profile\[$cmd\]: steps=" "$profile_err"; then
+            echo "cli ok: $cmd --profile only adds profile[$cmd] on stderr"
+        else
+            echo "cli FAILED: $cmd --profile changed stdout or printed no profile"
+            echo "  without --profile: $plain"
+            echo "  with --profile:    $profiled"
+            echo "  stderr:            $(cat "$profile_err")"
+            cli_status=1
+        fi
+    done
+    rm -f "$profile_err"
 else
     echo "cli FAILED: target/release/probterm missing (release build failed?)"
     cli_status=1

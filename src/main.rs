@@ -22,17 +22,12 @@
 //! `serve` speaks newline-delimited JSON over TCP when `--addr` is given and
 //! over stdin/stdout otherwise; see the README for the wire protocol.
 
-use probterm::core::astver::{build_tree, try_verify_ast_profiled};
-use probterm::core::intervalsem::{
-    lower_bound, try_explain, try_lower_bound, LowerBoundConfig,
-};
-use probterm::core::{analyze, analyze_ast, AnalysisConfig};
+use probterm::core::astver::{build_tree, try_verify_ast};
+use probterm::core::intervalsem::{try_explain, try_lower_bound, LowerBoundConfig};
+use probterm::core::{analyze, AnalysisConfig};
 use probterm::numerics::Rational;
 use probterm::service::{InjectSpec, Op, Server, ServerConfig, TraceSink};
-use probterm::spcf::{
-    catalog, estimate_termination, estimate_termination_profiled, parse_term, MonteCarloConfig,
-    Strategy, Term,
-};
+use probterm::spcf::{catalog, estimate_termination, parse_term, MonteCarloConfig, Strategy, Term};
 use probterm_telemetry::EngineProfile;
 use serde::Value;
 use std::process::ExitCode;
@@ -1061,9 +1056,15 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
+            // The `--deadline-ms` stop hook shared by `lower` and `explain`:
+            // an expired deadline leaves a sound partial result (Thm. 3.4).
+            let deadline = options
+                .deadline_ms
+                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
+            let mut stop = || deadline.is_some_and(|d| std::time::Instant::now() > d);
             match command.as_str() {
                 "analyze" => {
-                    let report = analyze(
+                    let report = match analyze(
                         &term,
                         &AnalysisConfig {
                             lower_bound_depth: options.depth,
@@ -1075,7 +1076,13 @@ fn main() -> ExitCode {
                             seed: options.seed,
                             profile: options.profile,
                         },
-                    );
+                    ) {
+                        Ok(report) => report,
+                        Err(e) => {
+                            eprintln!("error: {e}");
+                            return ExitCode::FAILURE;
+                        }
+                    };
                     print!("{report}");
                     if options.profile {
                         print_profile("lower", report.lower_bound.profile.as_ref());
@@ -1092,25 +1099,7 @@ fn main() -> ExitCode {
                     let config = LowerBoundConfig::default()
                         .with_depth(options.depth)
                         .with_profile(options.profile);
-                    let result = match options.deadline_ms {
-                        None => lower_bound(&term, &config),
-                        Some(ms) => {
-                            let deadline =
-                                std::time::Instant::now() + std::time::Duration::from_millis(ms);
-                            let mut check = |_work: usize| {
-                                if std::time::Instant::now() > deadline {
-                                    Err(())
-                                } else {
-                                    Ok(())
-                                }
-                            };
-                            // The partial result is sound (Thm. 3.4): an
-                            // expired budget only loses bound mass.
-                            let (result, _interrupted) =
-                                try_lower_bound(&term, &config, &mut check);
-                            result
-                        }
-                    };
+                    let (result, _checkpoint) = try_lower_bound(&term, &config, None, &mut stop);
                     println!(
                         "Pterm >= {}  ({} paths, {} unexplored, {} ms{})",
                         result.probability.to_decimal_string(10),
@@ -1145,16 +1134,7 @@ fn main() -> ExitCode {
                         }
                     } else {
                         let config = LowerBoundConfig::default().with_depth(options.depth);
-                        let deadline = options.deadline_ms.map(|ms| {
-                            std::time::Instant::now() + std::time::Duration::from_millis(ms)
-                        });
-                        let mut check = |_work: usize| match deadline {
-                            Some(d) if std::time::Instant::now() > d => Err(()),
-                            _ => Ok(()),
-                        };
-                        // Under an expired deadline the provenance is still a
-                        // sound partial artifact (marked incomplete).
-                        let (provenance, _interrupted) = try_explain(&term, &config, &mut check);
+                        let provenance = try_explain(&term, &config, &mut stop);
                         match options.format.as_str() {
                             "text" => {
                                 print!(
@@ -1193,12 +1173,7 @@ fn main() -> ExitCode {
                     }
                 }
                 "verify" => {
-                    let verified = if options.profile {
-                        try_verify_ast_profiled(&term, true, &mut || Ok(()))
-                    } else {
-                        analyze_ast(&term)
-                    };
-                    match verified {
+                    match try_verify_ast(&term, options.profile, &mut || false) {
                         Ok(v) => {
                             println!("{v}");
                             if options.profile {
@@ -1221,14 +1196,9 @@ fn main() -> ExitCode {
                         } else {
                             Strategy::CallByName
                         },
+                        profile: options.profile,
                     };
-                    let estimate = if options.profile {
-                        let (estimate, profile) = estimate_termination_profiled(&term, &config);
-                        print_profile("simulate", Some(&profile));
-                        estimate
-                    } else {
-                        estimate_termination(&term, &config)
-                    };
+                    let estimate = estimate_termination(&term, &config);
                     println!(
                         "terminated {}/{} runs (estimated Pterm {:.4} ± {:.4}); mean steps {:.1}",
                         estimate.terminated,
@@ -1237,6 +1207,9 @@ fn main() -> ExitCode {
                         estimate.confidence_99(),
                         estimate.mean_steps
                     );
+                    if options.profile {
+                        print_profile("simulate", estimate.profile.as_ref());
+                    }
                 }
                 _ => unreachable!(),
             }

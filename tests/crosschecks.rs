@@ -51,7 +51,13 @@ fn printer_quarter_four_routes_to_one_third() {
     // dozens of steps, so the 800-step budget truncates nothing measurable).
     let estimate = estimate_termination(
         &b.term,
-        &MonteCarloConfig { runs: 1_200, max_steps: 800, seed: 29, strategy: Strategy::CallByName },
+        &MonteCarloConfig {
+            runs: 1_200,
+            max_steps: 800,
+            seed: 29,
+            strategy: Strategy::CallByName,
+            profile: false,
+        },
     );
     assert!(
         (estimate.probability() - 1.0 / 3.0).abs() < 0.05,

@@ -153,7 +153,13 @@ fn table1_lower_bounds_are_sound_and_consistent_with_simulation() {
         };
         let estimate = estimate_termination(
             &b.term,
-            &MonteCarloConfig { runs, max_steps, seed: 13, strategy: Strategy::CallByName },
+            &MonteCarloConfig {
+                runs,
+                max_steps,
+                seed: 13,
+                strategy: Strategy::CallByName,
+                profile: false,
+            },
         );
         // The Monte-Carlo estimate can only undershoot the truth by truncation,
         // so the exact lower bound must not exceed it by more than noise.

@@ -1,10 +1,14 @@
 //! Cross-crate integration tests of the analysis pipeline itself:
 //! parser ↔ pretty-printer ↔ semantics ↔ interval semantics ↔ type system.
 
+use probterm::core::astver::{try_verify_ast, verify_ast};
 use probterm::core::itypes::{derive_from_exploration, derive_set_type};
-use probterm::core::intervalsem::{run_interval, IntervalTrace, ITerm};
+use probterm::core::intervalsem::{
+    lower_bound, run_interval, try_lower_bound, IntervalTrace, ITerm, LowerBoundConfig,
+};
 use probterm::core::spcf::{
-    catalog, infer_type, parse_term, run, terminates_on_trace, FixedTrace, SimpleType, Strategy,
+    catalog, estimate_termination, infer_type, parse_term, run, terminates_on_trace,
+    try_estimate_termination, FixedTrace, MonteCarloConfig, SimpleType, Strategy,
 };
 use probterm::numerics::{Interval, Rational};
 use proptest::prelude::*;
@@ -90,6 +94,48 @@ fn manual_set_type_for_a_single_coin() {
         judgement.expected_steps_lower_bound()
             >= Rational::from_ratio(9, 10) * Rational::from_int(2)
     );
+}
+
+/// Hooks only observe: profiling, and a stop hook that never fires, leave
+/// every engine's result unchanged. Each hooked `try_` call is compared with
+/// its plain call after blanking the fields that are observations by design
+/// (the profile and the wall-clock time).
+#[test]
+fn hooks_only_observe() {
+    let terms = [
+        catalog::geometric(Rational::from_ratio(1, 2)),
+        catalog::printer_nonaffine(Rational::from_ratio(1, 4)),
+        catalog::triangle_example(),
+    ];
+    for b in &terms {
+        let name = &b.name;
+
+        let config = LowerBoundConfig::default().with_depth(40);
+        let plain = lower_bound(&b.term, &config);
+        let (mut hooked, _checkpoint) =
+            try_lower_bound(&b.term, &config.clone().with_profile(true), None, &mut || false);
+        assert!(hooked.profile.take().is_some(), "{name}: lower profile missing");
+        hooked.elapsed = plain.elapsed;
+        assert_eq!(hooked, plain, "{name}: lower");
+        assert!(!hooked.interrupted, "{name}: lower");
+
+        let plain = verify_ast(&b.term);
+        let hooked = try_verify_ast(&b.term, true, &mut || false).map(|mut v| {
+            assert!(v.profile.take().is_some(), "{name}: verify profile missing");
+            v.elapsed = plain.as_ref().map_or(v.elapsed, |p| p.elapsed);
+            v
+        });
+        assert_eq!(hooked, plain, "{name}: verify");
+
+        let config =
+            MonteCarloConfig { runs: 200, max_steps: 2_000, seed: 5, ..Default::default() };
+        let plain = estimate_termination(&b.term, &config);
+        let profiled = MonteCarloConfig { profile: true, ..config };
+        let mut hooked = try_estimate_termination(&b.term, &profiled, &mut || false)
+            .expect("a stop hook that never fires");
+        assert!(hooked.profile.take().is_some(), "{name}: simulate profile missing");
+        assert_eq!(hooked, plain, "{name}: simulate");
+    }
 }
 
 proptest! {
