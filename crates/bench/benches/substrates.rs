@@ -4,8 +4,8 @@
 //! extinction probabilities. These quantify where the wall-clock time of the
 //! table benchmarks goes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use probterm_numerics::Rational;
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use probterm_numerics::{BigUint, Interval, Rational};
 use probterm_polytope::Polytope;
 use probterm_rwalk::{GeneratingFunction, CountingDistribution, StepDistribution, WalkMatrix};
 
@@ -23,7 +23,71 @@ fn bench_rational(c: &mut Criterion) {
             total
         })
     });
+    // One sample is a batch of 1,000 operations on small operands (numerator
+    // and denominator below 2^20); divide a reported time by 1,000 for the
+    // cost of one operation.
+    let small = small_rationals(1001);
+    group.bench_function("small_mul_x1000", |b| {
+        b.iter(|| {
+            for pair in small.windows(2) {
+                black_box(&pair[0] * &pair[1]);
+            }
+        })
+    });
+    group.bench_function("small_add_x1000", |b| {
+        b.iter(|| {
+            for pair in small.windows(2) {
+                black_box(&pair[0] + &pair[1]);
+            }
+        })
+    });
+    group.bench_function("small_cmp_x1000", |b| {
+        b.iter(|| {
+            for pair in small.windows(2) {
+                black_box(pair[0].cmp(&pair[1]));
+            }
+        })
+    });
+    // Two operands sharing a common factor, so the GCD does real work.
+    for bits in [100u64, 256] {
+        let shared = BigUint::from(0x9e37_79b9_7f4a_7c15u64);
+        let a = &shared * &(BigUint::one().shl_bits(bits - 64) + BigUint::from(3u64));
+        let b = &shared * &(BigUint::one().shl_bits(bits - 65) + BigUint::from(5u64));
+        group.bench_function(format!("biguint_gcd_{bits}_bits"), |bench| {
+            bench.iter(|| black_box(&a).gcd(black_box(&b)))
+        });
+    }
+    let intervals: Vec<Interval> = small
+        .windows(2)
+        .take(101)
+        .map(|pair| Interval::point(pair[0].clone()).hull(&Interval::point(pair[1].clone())))
+        .collect();
+    group.bench_function("interval_mul_x100", |b| {
+        b.iter(|| {
+            for pair in intervals.windows(2) {
+                black_box(pair[0].mul(&pair[1]));
+            }
+        })
+    });
     group.finish();
+}
+
+/// `n` deterministic pseudo-random signed rationals with numerator and
+/// denominator below 2^20.
+fn small_rationals(n: usize) -> Vec<Rational> {
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 44) as i64
+    };
+    (0..n)
+        .map(|_| {
+            let num = next() - (1 << 19);
+            Rational::from_ratio(num, next() + 1)
+        })
+        .collect()
 }
 
 fn bench_polytope_volume(c: &mut Criterion) {

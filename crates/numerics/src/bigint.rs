@@ -249,26 +249,40 @@ impl BigUint {
 
     /// Right shift by `bits`.
     pub fn shr_bits(&self, bits: u64) -> BigUint {
+        let mut out = self.clone();
+        out.shr_assign_bits(bits);
+        out
+    }
+
+    /// Right shift by `bits`, in place: no allocation.
+    fn shr_assign_bits(&mut self, bits: u64) {
         let limb_shift = (bits / 64) as usize;
         if limb_shift >= self.limbs.len() {
-            return BigUint::zero();
+            self.limbs.clear();
+            return;
         }
+        self.limbs.drain(..limb_shift);
         let bit_shift = bits % 64;
-        let slice = &self.limbs[limb_shift..];
-        let mut out = Vec::with_capacity(slice.len());
-        if bit_shift == 0 {
-            out.extend_from_slice(slice);
-        } else {
-            for i in 0..slice.len() {
-                let hi = if i + 1 < slice.len() {
-                    slice[i + 1] << (64 - bit_shift)
+        if bit_shift != 0 {
+            let n = self.limbs.len();
+            for i in 0..n {
+                let hi = if i + 1 < n {
+                    self.limbs[i + 1] << (64 - bit_shift)
                 } else {
                     0
                 };
-                out.push((slice[i] >> bit_shift) | hi);
+                self.limbs[i] = (self.limbs[i] >> bit_shift) | hi;
             }
         }
-        BigUint::from_limbs(out)
+        self.normalize();
+    }
+
+    /// Number of trailing zero bits (zero for the value zero).
+    fn trailing_zeros(&self) -> u64 {
+        match self.limbs.iter().position(|&l| l != 0) {
+            Some(i) => i as u64 * 64 + self.limbs[i].trailing_zeros() as u64,
+            None => 0,
+        }
     }
 
     /// Divides by a single machine word, returning `(quotient, remainder)`.
@@ -317,36 +331,30 @@ impl BigUint {
                 remainder.sub_assign_ref(&divisor);
                 quotient_limbs[(i / 64) as usize] |= 1u64 << (i % 64);
             }
-            divisor = divisor.shr_bits(1);
+            divisor.shr_assign_bits(1);
             i -= 1;
         }
         (BigUint::from_limbs(quotient_limbs), remainder)
     }
 
-    /// Greatest common divisor (binary GCD).
+    /// Greatest common divisor (binary GCD, in place).
     pub fn gcd(&self, other: &BigUint) -> BigUint {
+        if self.is_zero() {
+            return other.clone();
+        }
+        if other.is_zero() {
+            return self.clone();
+        }
+        if let (Some(a), Some(b)) = (self.to_u128(), other.to_u128()) {
+            return BigUint::from(gcd_u128(a, b));
+        }
         let mut a = self.clone();
         let mut b = other.clone();
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        // Remove common factors of two.
-        let mut shift = 0u64;
-        while a.is_even() && b.is_even() {
-            a = a.shr_bits(1);
-            b = b.shr_bits(1);
-            shift += 1;
-        }
-        while a.is_even() {
-            a = a.shr_bits(1);
-        }
+        let (za, zb) = (a.trailing_zeros(), b.trailing_zeros());
+        a.shr_assign_bits(za);
+        b.shr_assign_bits(zb);
+        // Both odd from here on; the difference of two odd values is even.
         loop {
-            while b.is_even() {
-                b = b.shr_bits(1);
-            }
             if a.cmp_mag(&b) == Ordering::Greater {
                 std::mem::swap(&mut a, &mut b);
             }
@@ -354,8 +362,13 @@ impl BigUint {
             if b.is_zero() {
                 break;
             }
+            b.shr_assign_bits(b.trailing_zeros());
+            if let (Some(x), Some(y)) = (a.to_u128(), b.to_u128()) {
+                a = BigUint::from(gcd_u128(x, y));
+                break;
+            }
         }
-        a.shl_bits(shift)
+        a.shl_bits(za.min(zb))
     }
 
     /// Raises the value to the power `exp`.
@@ -414,6 +427,48 @@ impl BigUint {
             acc.add_assign_ref(&BigUint::from(d as u64));
         }
         Some(acc)
+    }
+}
+
+/// Greatest common divisor of two machine words (binary GCD).
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Greatest common divisor of two double words; finishes in [`gcd_u64`] as
+/// soon as both operands fit one word.
+fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 || b == 0 {
+        return a | b;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if let (Ok(x), Ok(y)) = (u64::try_from(a), u64::try_from(b)) {
+            return (gcd_u64(x, y) as u128) << shift;
+        }
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
     }
 }
 
@@ -734,6 +789,13 @@ impl From<i64> for BigInt {
                 BigInt::from_sign_mag(Sign::Negative, BigUint::from((v as i128).unsigned_abs() as u64))
             }
         }
+    }
+}
+
+impl From<i128> for BigInt {
+    fn from(v: i128) -> BigInt {
+        let sign = if v < 0 { Sign::Negative } else { Sign::Positive };
+        BigInt::from_sign_mag(sign, BigUint::from(v.unsigned_abs()))
     }
 }
 

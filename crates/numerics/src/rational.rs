@@ -5,8 +5,25 @@
 //! traces, polytope volumes and expected-step counts are all exact rationals,
 //! exactly as the paper's prototype does in §7.1 ("Our tool computes rational
 //! lower-bounds to avoid rounding errors").
+//!
+//! # Representation
+//!
+//! A `Rational` is 24 bytes with two representations:
+//!
+//! * `Small(n, d)`: an `i64` numerator and a `u64` denominator, inline;
+//! * `Big`: a boxed [`BigInt`] numerator and [`BigUint`] denominator.
+//!
+//! The representation is canonical. The value is always reduced, with a
+//! positive denominator, and it is `Small` exactly when both parts fit their
+//! machine words. Equal values therefore have equal representations, so the
+//! derived `Eq` and `Hash` are exact and `Display` is a canonical key.
+//!
+//! Operations on two `Small` values run in `i128`/`u128` with checked
+//! arithmetic and word-sized binary GCDs. A result that does not fit is
+//! promoted to `Big`; a `Big` result that fits is demoted to `Small`.
 
-use crate::bigint::{BigInt, BigUint, Sign};
+use crate::bigint::{gcd_u64, BigInt, BigUint, Sign};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -23,11 +40,21 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert_eq!(sum, Rational::one());
 /// assert_eq!(Rational::from_ratio(2, 4), Rational::from_ratio(1, 2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Rational {
-    num: BigInt,
-    den: BigUint,
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Rational(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Numerator and denominator both fit a machine word.
+    Small(i64, u64),
+    /// Everything else; never holds a value that fits `Small`.
+    Big(Box<(BigInt, BigUint)>),
 }
+
+use Repr::{Big, Small};
+
+// A larger `Rational` costs resident memory on every frontier path.
+const _: () = assert!(std::mem::size_of::<Rational>() == 24);
 
 impl Default for Rational {
     fn default() -> Self {
@@ -38,23 +65,17 @@ impl Default for Rational {
 impl Rational {
     /// The value `0`.
     pub fn zero() -> Rational {
-        Rational {
-            num: BigInt::zero(),
-            den: BigUint::one(),
-        }
+        Rational(Small(0, 1))
     }
 
     /// The value `1`.
     pub fn one() -> Rational {
-        Rational {
-            num: BigInt::one(),
-            den: BigUint::one(),
-        }
+        Rational(Small(1, 1))
     }
 
     /// The value `1/2`.
     pub fn half() -> Rational {
-        Rational::from_ratio(1, 2)
+        Rational(Small(1, 2))
     }
 
     /// Constructs `num / den` from machine integers.
@@ -64,10 +85,10 @@ impl Rational {
     /// Panics if `den == 0`.
     pub fn from_ratio(num: i64, den: i64) -> Rational {
         assert!(den != 0, "zero denominator");
-        let sign_flip = den < 0;
-        let num = if sign_flip { BigInt::from(-num) } else { BigInt::from(num) };
-        let den = BigUint::from(den.unsigned_abs());
-        Rational::from_bigint_ratio(num, BigInt::from(den))
+        let num = if den < 0 { -(num as i128) } else { num as i128 };
+        let den = den.unsigned_abs();
+        let g = gcd_u64(num.unsigned_abs() as u64, den);
+        Rational::from_reduced(num / g as i128, (den / g) as u128)
     }
 
     /// Constructs `num / den` from big integers, normalising signs and the gcd.
@@ -86,80 +107,112 @@ impl Rational {
             return Rational::zero();
         }
         let g = num.magnitude().gcd(&den_mag);
+        if g.is_one() {
+            return Rational::from_reduced_big(num, den_mag);
+        }
         let num = BigInt::from_sign_mag(num.sign(), num.magnitude().div_rem(&g).0);
         let den = den_mag.div_rem(&g).0;
-        Rational { num, den }
+        Rational::from_reduced_big(num, den)
+    }
+
+    /// The canonical value of the reduced fraction `num / den` (`den > 0`).
+    fn from_reduced(num: i128, den: u128) -> Rational {
+        match (i64::try_from(num), u64::try_from(den)) {
+            (Ok(n), Ok(d)) => Rational(Small(n, d)),
+            _ => Rational(Big(Box::new((BigInt::from(num), BigUint::from(den))))),
+        }
+    }
+
+    /// [`Rational::from_reduced`] for big-integer parts.
+    fn from_reduced_big(num: BigInt, den: BigUint) -> Rational {
+        match (num.to_i64(), den.to_u64()) {
+            (Some(n), Some(d)) => Rational(Small(n, d)),
+            _ => Rational(Big(Box::new((num, den)))),
+        }
     }
 
     /// Constructs an integer-valued rational.
     pub fn from_int(v: i64) -> Rational {
-        Rational {
-            num: BigInt::from(v),
-            den: BigUint::one(),
-        }
+        Rational(Small(v, 1))
     }
 
     /// Constructs a rational from a big integer.
     pub fn from_bigint(v: BigInt) -> Rational {
-        Rational {
-            num: v,
-            den: BigUint::one(),
+        Rational::from_reduced_big(v, BigUint::one())
+    }
+
+    /// Numerator and denominator, borrowed from a `Big` value.
+    fn parts(&self) -> (Cow<'_, BigInt>, Cow<'_, BigUint>) {
+        match &self.0 {
+            Small(n, d) => (Cow::Owned(BigInt::from(*n)), Cow::Owned(BigUint::from(*d))),
+            Big(b) => (Cow::Borrowed(&b.0), Cow::Borrowed(&b.1)),
         }
     }
 
     /// Numerator (signed, coprime with the denominator).
-    pub fn numer(&self) -> &BigInt {
-        &self.num
+    pub fn numer(&self) -> BigInt {
+        self.parts().0.into_owned()
     }
 
     /// Denominator (strictly positive).
-    pub fn denom(&self) -> &BigUint {
-        &self.den
+    pub fn denom(&self) -> BigUint {
+        self.parts().1.into_owned()
     }
 
     /// Returns `true` if the value is zero.
     pub fn is_zero(&self) -> bool {
-        self.num.is_zero()
+        matches!(self.0, Small(0, _))
     }
 
     /// Returns `true` if the value is one.
     pub fn is_one(&self) -> bool {
-        self.den.is_one() && self.num == BigInt::one()
+        matches!(self.0, Small(1, 1))
     }
 
     /// Returns `true` if strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.num.is_positive()
+        self.sign() == Sign::Positive
     }
 
     /// Returns `true` if strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.num.is_negative()
+        self.sign() == Sign::Negative
     }
 
     /// Returns `true` if the value is an integer.
     pub fn is_integer(&self) -> bool {
-        self.den.is_one()
+        match &self.0 {
+            Small(_, d) => *d == 1,
+            Big(b) => b.1.is_one(),
+        }
     }
 
     /// The sign of the value.
     pub fn sign(&self) -> Sign {
-        self.num.sign()
+        match &self.0 {
+            Small(n, _) => match n.cmp(&0) {
+                Ordering::Less => Sign::Negative,
+                Ordering::Equal => Sign::Zero,
+                Ordering::Greater => Sign::Positive,
+            },
+            Big(b) => b.0.sign(),
+        }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> Rational {
-        Rational {
-            num: self.num.abs(),
-            den: self.den.clone(),
+        if self.is_negative() {
+            self.negated()
+        } else {
+            self.clone()
         }
     }
 
     /// Additive inverse.
     pub fn negated(&self) -> Rational {
-        Rational {
-            num: -&self.num,
-            den: self.den.clone(),
+        match &self.0 {
+            Small(n, d) => Rational::from_reduced(-(*n as i128), *d as u128),
+            Big(b) => Rational::from_reduced_big(-&b.0, b.1.clone()),
         }
     }
 
@@ -170,31 +223,65 @@ impl Rational {
     /// Panics if the value is zero.
     pub fn recip(&self) -> Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
-        Rational::from_bigint_ratio(
-            BigInt::from(self.den.clone()),
-            self.num.clone(),
-        )
+        match &self.0 {
+            Small(n, d) => {
+                let den = n.unsigned_abs() as u128;
+                let num = if *n < 0 { -(*d as i128) } else { *d as i128 };
+                Rational::from_reduced(num, den)
+            }
+            Big(b) => {
+                let num = BigInt::from_sign_mag(b.0.sign(), b.1.clone());
+                Rational::from_reduced_big(num, b.0.magnitude().clone())
+            }
+        }
     }
 
     /// Adds two rationals.
     pub fn add_ref(&self, other: &Rational) -> Rational {
-        // a/b + c/d = (a d + c b) / (b d)
-        let num = &(&self.num * &BigInt::from(other.den.clone()))
-            + &(&other.num * &BigInt::from(self.den.clone()));
-        let den = BigInt::from(self.den.mul_ref(&other.den));
-        Rational::from_bigint_ratio(num, den)
+        if let (Small(a, b), Small(c, d)) = (&self.0, &other.0) {
+            if let Some(sum) = add_small(*a, *b, *c as i128, *d) {
+                return sum;
+            }
+        }
+        self.add_big(other, false)
     }
 
     /// Subtracts `other` from `self`.
     pub fn sub_ref(&self, other: &Rational) -> Rational {
-        self.add_ref(&other.negated())
+        if let (Small(a, b), Small(c, d)) = (&self.0, &other.0) {
+            if let Some(difference) = add_small(*a, *b, -(*c as i128), *d) {
+                return difference;
+            }
+        }
+        self.add_big(other, true)
+    }
+
+    /// `self ± other` on big integers: `a/b ± c/d = (a d ± c b) / (b d)`.
+    fn add_big(&self, other: &Rational, subtract: bool) -> Rational {
+        let ((a, b), (c, d)) = (self.parts(), other.parts());
+        let cb = scale(&c, &b);
+        let cb = if subtract { -cb } else { cb };
+        let num = &scale(&a, &d) + &cb;
+        Rational::from_bigint_ratio(num, BigInt::from(b.mul_ref(&d)))
     }
 
     /// Multiplies two rationals.
     pub fn mul_ref(&self, other: &Rational) -> Rational {
-        let num = &self.num * &other.num;
-        let den = BigInt::from(self.den.mul_ref(&other.den));
-        Rational::from_bigint_ratio(num, den)
+        if let (Small(a, b), Small(c, d)) = (&self.0, &other.0) {
+            // Cancel across before multiplying (Knuth 4.5.1): the result is
+            // then already reduced.
+            if *a == 0 || *c == 0 {
+                return Rational::zero();
+            }
+            let (a_mag, c_mag) = (a.unsigned_abs(), c.unsigned_abs());
+            let g1 = gcd_u64(a_mag, *d);
+            let g2 = gcd_u64(c_mag, *b);
+            let mag = (a_mag / g1) as i128 * (c_mag / g2) as i128;
+            let den = (*b / g2) as u128 * (*d / g1) as u128;
+            return Rational::from_reduced(if (*a < 0) != (*c < 0) { -mag } else { mag }, den);
+        }
+        let ((a, b), (c, d)) = (self.parts(), other.parts());
+        Rational::from_bigint_ratio(&*a * &*c, BigInt::from(b.mul_ref(&d)))
     }
 
     /// Divides `self` by `other`.
@@ -203,6 +290,19 @@ impl Rational {
     ///
     /// Panics if `other` is zero.
     pub fn div_ref(&self, other: &Rational) -> Rational {
+        assert!(!other.is_zero(), "division by zero");
+        if let (Small(a, b), Small(c, d)) = (&self.0, &other.0) {
+            // a/b ÷ c/d = (a d) / (b c), cancelling across first.
+            if *a == 0 {
+                return Rational::zero();
+            }
+            let (a_mag, c_mag) = (a.unsigned_abs(), c.unsigned_abs());
+            let g1 = gcd_u64(a_mag, c_mag);
+            let g2 = gcd_u64(*b, *d);
+            let mag = (a_mag / g1) as i128 * (*d / g2) as i128;
+            let den = (*b / g2) as u128 * (c_mag / g1) as u128;
+            return Rational::from_reduced(if (*a < 0) != (*c < 0) { -mag } else { mag }, den);
+        }
         self.mul_ref(&other.recip())
     }
 
@@ -224,10 +324,13 @@ impl Rational {
     }
 
     fn pow_u32(&self, exp: u32) -> Rational {
-        Rational {
-            num: self.num.pow(exp),
-            den: self.den.pow(exp),
+        if let Small(n, d) = &self.0 {
+            if let (Some(n), Some(d)) = (n.checked_pow(exp), d.checked_pow(exp)) {
+                return Rational(Small(n, d));
+            }
         }
+        let (n, d) = self.parts();
+        Rational::from_reduced_big(n.pow(exp), d.pow(exp))
     }
 
     /// The minimum of two rationals.
@@ -250,8 +353,12 @@ impl Rational {
 
     /// Floor as a big integer.
     pub fn floor(&self) -> BigInt {
-        let (q, r) = self.num.div_rem(&BigInt::from(self.den.clone()));
-        if self.num.is_negative() && !r.is_zero() {
+        if let Small(n, d) = &self.0 {
+            return BigInt::from((*n as i128).div_euclid(*d as i128));
+        }
+        let (n, d) = self.parts();
+        let (q, r) = n.div_rem(&BigInt::from(d.into_owned()));
+        if n.is_negative() && !r.is_zero() {
             q - BigInt::one()
         } else {
             q
@@ -260,20 +367,24 @@ impl Rational {
 
     /// Ceiling as a big integer.
     pub fn ceil(&self) -> BigInt {
-        -((&-self).floor())
+        -(-self).floor()
     }
 
     /// Best-effort conversion to `f64`.
     pub fn to_f64(&self) -> f64 {
+        let (num, den) = match &self.0 {
+            Small(n, d) => return *n as f64 / *d as f64,
+            Big(b) => (&b.0, &b.1),
+        };
         // Scale to keep precision when both parts are huge.
-        let nb = self.num.magnitude().bits() as i64;
-        let db = self.den.bits() as i64;
+        let nb = num.magnitude().bits() as i64;
+        let db = den.bits() as i64;
         if nb < 900 && db < 900 {
-            return self.num.to_f64() / self.den.to_f64();
+            return num.to_f64() / den.to_f64();
         }
         let shift = (nb.max(db) - 512).max(0) as u64;
-        let n = self.num.magnitude().shr_bits(shift).to_f64();
-        let d = self.den.shr_bits(shift).to_f64();
+        let n = num.magnitude().shr_bits(shift).to_f64();
+        let d = den.shr_bits(shift).to_f64();
         let v = n / d;
         if self.is_negative() {
             -v
@@ -363,7 +474,8 @@ impl Rational {
     /// truncated toward zero (matching how the paper prints lower bounds).
     pub fn to_decimal_string(&self, digits: usize) -> String {
         let scale = BigUint::from(10u64).pow(digits as u32);
-        let scaled = (&self.num.abs() * &BigInt::from(scale)).div_rem(&BigInt::from(self.den.clone())).0;
+        let (num, den) = self.parts();
+        let scaled = num.magnitude().mul_ref(&scale).div_rem(&den).0;
         let scaled_str = scaled.to_string();
         let scaled_str = if scaled_str.len() <= digits {
             format!("{}{}", "0".repeat(digits + 1 - scaled_str.len()), scaled_str)
@@ -412,20 +524,59 @@ impl PartialOrd for Rational {
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b ? c/d  <=>  a d ? c b   (b, d > 0)
-        let lhs = &self.num * &BigInt::from(other.den.clone());
-        let rhs = &other.num * &BigInt::from(self.den.clone());
-        lhs.cmp(&rhs)
+        if let (Small(a, b), Small(c, d)) = (&self.0, &other.0) {
+            return if b == d {
+                a.cmp(c)
+            } else {
+                (*a as i128 * *d as i128).cmp(&(*c as i128 * *b as i128))
+            };
+        }
+        let ((a, b), (c, d)) = (self.parts(), other.parts());
+        scale(&a, &d).cmp(&scale(&c, &b))
     }
 }
 
 impl fmt::Display for Rational {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.den.is_one() {
-            write!(f, "{}", self.num)
-        } else {
-            write!(f, "{}/{}", self.num, self.den)
+        match &self.0 {
+            Small(n, 1) => write!(f, "{n}"),
+            Small(n, d) => write!(f, "{n}/{d}"),
+            Big(b) if b.1.is_one() => write!(f, "{}", b.0),
+            Big(b) => write!(f, "{}/{}", b.0, b.1),
         }
     }
+}
+
+impl fmt::Debug for Rational {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Rational({self})")
+    }
+}
+
+/// `a/b + c/d` on machine words, where `c` is an `i64` or its negation;
+/// `None` when the cross-multiplied numerator overflows `i128`.
+fn add_small(a: i64, b: u64, c: i128, d: u64) -> Option<Rational> {
+    // Knuth 4.5.1: with g = gcd(b, d), only gcd(t, g) can divide
+    // t = a (d/g) + c (b/g), so the second GCD runs on one word.
+    let g = gcd_u64(b, d);
+    let (b1, d1) = (b / g, d / g);
+    let t = (a as i128 * d1 as i128).checked_add(c * b1 as i128)?;
+    if t == 0 {
+        return Some(Rational::zero());
+    }
+    if g == 1 {
+        return Some(Rational::from_reduced(t, b1 as u128 * d as u128));
+    }
+    let g2 = gcd_u64((t.unsigned_abs() % g as u128) as u64, g);
+    Some(Rational::from_reduced(
+        t / g2 as i128,
+        b1 as u128 * (d / g2) as u128,
+    ))
+}
+
+/// `n · d` for a big numerator and denominator.
+fn scale(n: &BigInt, d: &BigUint) -> BigInt {
+    BigInt::from_sign_mag(n.sign(), n.magnitude().mul_ref(d))
 }
 
 macro_rules! impl_binop {
@@ -617,6 +768,24 @@ mod tests {
         assert_eq!(s, Rational::one());
         let p: Rational = xs.into_iter().product();
         assert_eq!(p, r(1, 32));
+    }
+
+    #[test]
+    fn machine_word_edges_promote_instead_of_wrapping() {
+        let two_63 = Rational::from_bigint(BigInt::from(1u64 << 63));
+        let flipped = Rational::from_ratio(i64::MIN, -1);
+        assert_eq!(flipped, two_63);
+        assert_eq!(flipped.to_string(), "9223372036854775808");
+        assert!(matches!(flipped.0, Big(_)));
+        assert_eq!(Rational::from_ratio(i64::MIN, i64::MIN), Rational::one());
+        let tiny = Rational::from_ratio(1, i64::MIN);
+        assert_eq!(tiny.to_string(), "-1/9223372036854775808");
+        assert!(matches!(tiny.0, Small(-1, _)));
+        let min = Rational::from_int(i64::MIN);
+        assert_eq!(min.negated(), two_63);
+        assert!(matches!(min.negated().0, Big(_)));
+        // Back in range, the value is demoted again.
+        assert!(matches!(min.negated().negated().0, Small(i64::MIN, 1)));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use proptest::prelude::*;
 use probterm_numerics::{BigInt, BigUint, Interval, IntervalBox, Rational};
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 fn big(v: u128) -> BigUint {
     BigUint::from(v)
@@ -40,13 +42,20 @@ proptest! {
     }
 
     #[test]
-    fn biguint_gcd_divides_both(a in any::<u64>(), b in any::<u64>()) {
-        let g = big(a as u128).gcd(&big(b as u128));
-        if !g.is_zero() {
-            prop_assert!(big(a as u128).div_rem(&g).1.is_zero());
-            prop_assert!(big(b as u128).div_rem(&g).1.is_zero());
+    fn biguint_gcd_divides_both(x in any::<u128>(), y in any::<u128>(), z in any::<u128>()) {
+        // Multi-limb operands with the known common factor x.
+        let (a, b) = (&big(x) * &big(y), &big(x) * &big(z));
+        let g = a.gcd(&b);
+        if g.is_zero() {
+            prop_assert!(a.is_zero() && b.is_zero());
         } else {
-            prop_assert!(a == 0 && b == 0);
+            let (a_g, a_rem) = a.div_rem(&g);
+            let (b_g, b_rem) = b.div_rem(&g);
+            prop_assert!(a_rem.is_zero() && b_rem.is_zero());
+            prop_assert!(a_g.gcd(&b_g).is_one(), "gcd({}, {}) = {} is not the greatest", a, b, g);
+            if x != 0 {
+                prop_assert!(g.div_rem(&big(x)).1.is_zero());
+            }
         }
     }
 
@@ -187,5 +196,163 @@ proptest! {
         if let Some((l, r)) = b.bisect_widest() {
             prop_assert_eq!(&l.volume() + &r.volume(), b.volume());
         }
+    }
+}
+
+// ----------------------------------------------------- small path vs big path
+
+/// Numerators at the machine-word edges: 0, ±1, around ±2^31, `i64::MIN`
+/// and `i64::MAX`, around ±2^63 and ±2^64.
+const EDGE_NUMERATORS: [i128; 18] = [
+    0,
+    1,
+    -1,
+    1 << 31,
+    -(1 << 31),
+    (1 << 31) + 1,
+    i64::MAX as i128,
+    i64::MIN as i128,
+    i64::MIN as i128 + 1,
+    1 << 63,
+    -(1 << 63) - 1,
+    (1 << 63) + 1,
+    u64::MAX as i128,
+    -(u64::MAX as i128),
+    1 << 64,
+    -(1 << 64),
+    (1 << 64) + 1,
+    -(1 << 64) - 1,
+];
+
+/// Denominators at the machine-word edges: 1, 2, around 2^31, 2^63,
+/// near and beyond `u64::MAX`.
+const EDGE_DENOMINATORS: [u128; 14] = [
+    1,
+    2,
+    3,
+    1 << 31,
+    (1 << 31) + 1,
+    1 << 32,
+    1 << 63,
+    (1 << 63) + 1,
+    u64::MAX as u128 - 1,
+    u64::MAX as u128,
+    u64::MAX as u128 - 2,
+    1 << 64,
+    (1 << 64) + 1,
+    u128::MAX,
+];
+
+/// An edge numerator for `pick` below the table size, otherwise `raw`
+/// shifted right by a multiple of 8 bits (random values of every width).
+fn numerator(pick: usize, raw: i128) -> BigInt {
+    match EDGE_NUMERATORS.get(pick) {
+        Some(&edge) => BigInt::from(edge),
+        None => BigInt::from(raw >> (8 * (pick - EDGE_NUMERATORS.len()))),
+    }
+}
+
+/// Like [`numerator`], for a nonzero denominator.
+fn denominator(pick: usize, raw: u128) -> BigInt {
+    match EDGE_DENOMINATORS.get(pick) {
+        Some(&edge) => BigInt::from(BigUint::from(edge)),
+        None => {
+            let shift = 8 * (pick - EDGE_DENOMINATORS.len());
+            BigInt::from(BigUint::from((raw >> shift).max(1)))
+        }
+    }
+}
+
+fn hash_of(x: &Rational) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    x.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// `n` or `n/d`, printed from big integers only.
+fn display_of(n: &BigInt, d: &BigInt) -> String {
+    if *d == BigInt::one() {
+        n.to_string()
+    } else {
+        format!("{n}/{d}")
+    }
+}
+
+/// `x` equals the reference fraction `n / d`, computed on big integers only:
+/// same value, same canonical parts, same `Display`, same `Hash`.
+fn check_against_reference(x: &Rational, n: BigInt, d: BigInt) -> Result<(), String> {
+    let reference = Rational::from_bigint_ratio(n, d);
+    prop_assert_eq!(x, &reference);
+    prop_assert_eq!(hash_of(x), hash_of(&reference));
+    let (xn, xd) = (x.numer(), BigInt::from(x.denom()));
+    prop_assert!(xd.is_positive(), "non-positive denominator in {}", x);
+    prop_assert!(xn.gcd(&xd).is_one(), "unreduced parts in {}", x);
+    prop_assert_eq!(x.to_string(), display_of(&xn, &xd));
+    prop_assert_eq!(&Rational::from_bigint_ratio(xn, xd), x);
+    Ok(())
+}
+
+fn big_floor(n: &BigInt, d: &BigInt) -> BigInt {
+    let (q, r) = n.div_rem(d);
+    if n.is_negative() && !r.is_zero() {
+        q - BigInt::one()
+    } else {
+        q
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn rational_small_path_matches_big_path(
+        a in (0usize..34, 0usize..30, any::<i128>(), any::<u128>()),
+        b in (0usize..34, 0usize..30, any::<i128>(), any::<u128>()),
+    ) {
+        let (an, ad) = (numerator(a.0, a.2), denominator(a.1, a.3));
+        let (bn, bd) = (numerator(b.0, b.2), denominator(b.1, b.3));
+        let x = Rational::from_bigint_ratio(an.clone(), ad.clone());
+        let y = Rational::from_bigint_ratio(bn.clone(), bd.clone());
+        check_against_reference(&x, an.clone(), ad.clone())?;
+        check_against_reference(&y, bn.clone(), bd.clone())?;
+        // Rebuild x's parts on big integers so the reference sees reduced values.
+        let (an, ad) = (x.numer(), BigInt::from(x.denom()));
+        let (bn, bd) = (y.numer(), BigInt::from(y.denom()));
+
+        check_against_reference(&(&x + &y), &(&an * &bd) + &(&bn * &ad), &ad * &bd)?;
+        check_against_reference(&(&x - &y), &(&an * &bd) - &(&bn * &ad), &ad * &bd)?;
+        check_against_reference(&(&x * &y), &an * &bn, &ad * &bd)?;
+        if !y.is_zero() {
+            check_against_reference(&(&x / &y), &an * &bd, &ad * &bn)?;
+            check_against_reference(&y.recip(), bd.clone(), bn.clone())?;
+        }
+        check_against_reference(&x.negated(), -&an, ad.clone())?;
+        check_against_reference(&x.abs(), an.abs(), ad.clone())?;
+        check_against_reference(&x.pow(3), an.pow(3), ad.pow(3))?;
+        prop_assert_eq!(x.cmp(&y), (&an * &bd).cmp(&(&bn * &ad)));
+        prop_assert_eq!(x == y, (&an * &bd) == (&bn * &ad));
+        prop_assert_eq!(x.floor(), big_floor(&an, &ad));
+        prop_assert_eq!(x.ceil(), -big_floor(&-&an, &ad));
+        prop_assert_eq!(x.is_zero(), an.is_zero());
+        prop_assert_eq!(x.is_positive(), an.is_positive());
+        prop_assert_eq!(x.is_negative(), an.is_negative());
+        prop_assert_eq!(x.is_integer(), ad == BigInt::one());
+        prop_assert_eq!(x.is_one(), an == BigInt::one() && ad == BigInt::one());
+        prop_assert_eq!(x.sign(), an.sign());
+    }
+
+    #[test]
+    fn rational_from_ratio_matches_big_path(n in any::<i64>(), d in any::<i64>(), pick in 0usize..4) {
+        // Mix random words with the edges that overflow a naive negation.
+        let (n, d) = match pick {
+            0 => (n, d),
+            1 => (i64::MIN, d),
+            2 => (n, i64::MIN),
+            _ => (n, -1),
+        };
+        if d != 0 {
+            check_against_reference(&Rational::from_ratio(n, d), BigInt::from(n), BigInt::from(d))?;
+        }
+        check_against_reference(&Rational::from_int(n), BigInt::from(n), BigInt::one())?;
     }
 }

@@ -345,7 +345,9 @@ if [ -x target/release/probterm ]; then
     # Engine run 1: a plain complete lower.
     chaos_request '{"id":1,"op":"lower","program":"'"$geo"'","depth":25}' '"ok":true'
     # Engine run 2: deadline-cut partial that must embed a resume checkpoint.
-    chaos_request '{"id":2,"op":"lower","program":"'"$geo"'","depth":400,"deadline_ms":60}' '"checkpoint"'
+    # The deadline must stay well below the complete run's engine time at the
+    # server's depth cap of 400 (about 40 ms in release on 2 CPUs).
+    chaos_request '{"id":2,"op":"lower","program":"'"$geo"'","depth":400,"deadline_ms":10}' '"checkpoint"'
     # Engine run 3: a much richer retry resumes the checkpoint instead of
     # recomputing from scratch.
     chaos_request '{"id":3,"op":"lower","program":"'"$geo"'","depth":400,"deadline_ms":2000}' '"resumed":true'
